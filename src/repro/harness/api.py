@@ -313,24 +313,27 @@ def notify_run_observers(key: Optional[str], result: "RunResult") -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _build_cached(label: str, mode: InstrumentMode) -> GeneratedWorkload:
-    """Workload build cache, keyed on (profile label, instrument mode).
+def _build_cached(
+    workload: Union[str, WorkloadProfile], mode: InstrumentMode
+) -> GeneratedWorkload:
+    """Workload build cache, keyed on (label or profile, instrument mode).
 
     ``build_workload`` is deterministic and the result is never mutated
     by a run (every simulator maps its own address space from the
     program's regions), so one build serves a whole ``sweep_policies``
-    grid — each label/mode pair is assembled once, not once per policy.
+    grid — each label/mode pair is assembled once, not once per policy
+    — and Fig. 4's functional probe reuses the build its timing run
+    used.  Seed-varied profiles are frozen (hashable) and key the same
+    way.
     """
-    return build_workload(profile_by_label(label), mode)
+    return build_workload(profile_by_label(workload), mode)
 
 
 def resolve_workload(request: RunRequest) -> GeneratedWorkload:
     """The built workload a request runs (label/profile/object forms)."""
     workload = request.workload
-    if isinstance(workload, str):
+    if isinstance(workload, (str, WorkloadProfile)):
         return _build_cached(workload, request.mode)
-    if isinstance(workload, WorkloadProfile):
-        return build_workload(workload, request.mode)
     return workload
 
 

@@ -13,14 +13,15 @@ around these.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.hardware_cost import HardwareCost
 from ..analysis.isolation_taxonomy import table_i, verify_probes
 from ..attacks import build_spectre_v1_poc, run_attack
 from ..core.config import CoreConfig, WrpkruPolicy, table_iii_config
+from ..perf.runcache import memoized
 from ..workloads.instrument import InstrumentMode
-from ..workloads.profiles import ALL_PROFILES, label_of
+from ..workloads.profiles import ALL_PROFILES, WorkloadProfile, label_of
 from .runner import (
     geomean,
     normalized_ipc,
@@ -201,20 +202,39 @@ def fig3_serialization_study(
 # Fig. 4 — overhead breakdown (compiler transformation vs serialization)
 # ---------------------------------------------------------------------------
 
-def _useful_fraction(label: str, mode: InstrumentMode,
-                     sample: int = 20_000) -> float:
+def _useful_fraction(label: Union[str, WorkloadProfile],
+                     mode: InstrumentMode, sample: int = 20_000) -> float:
     """Fraction of dynamic instructions that are *not* instrumentation.
 
     Instrumented builds execute extra instructions for the same work;
     comparing raw CPI across modes would credit the padding.  Measured
     functionally (the architectural path is identical to the pipeline's
-    committed path).
+    committed path).  The value is a deterministic function of the
+    generated program, so it is memoized in the run cache: a warm
+    report neither rebuilds the workload nor re-steps it.
+    """
+    return memoized(
+        "useful-fraction-v1",
+        lambda: _count_useful_fraction(label, mode, sample),
+        label, mode, sample,
+    )
+
+
+def _count_useful_fraction(label: Union[str, WorkloadProfile],
+                           mode: InstrumentMode, sample: int) -> float:
+    """The uncached probe: step *sample* instructions of the build.
+
+    Single-stepping with a per-instruction observer beats counting on
+    translated blocks here: translating every block costs more than a
+    20k-instruction sample saves (docs/performance.md §3).
     """
     from ..isa.emulator import EmulatorLimitExceeded, make_emulator
-    from ..workloads.generator import build_workload
-    from ..workloads.profiles import profile_by_label
+    from .api import RunRequest, resolve_workload
 
-    workload = build_workload(profile_by_label(label), mode)
+    # The build the timing run of (label, mode) just used, not a second one.
+    workload = resolve_workload(RunRequest(
+        workload=label, policy=WrpkruPolicy.SERIALIZED, mode=mode,
+    ))
     if not workload.protection_pcs:
         return 1.0
     marked = workload.protection_pcs

@@ -233,8 +233,8 @@ def sweep_policies(
     if metrics is not None:
         # Sweep-level telemetry rides in via merge() so it does not
         # inflate the per-run ``aggregate.runs`` count.  The run-cache
-        # deltas only see hits/misses observed by *this* process (the
-        # parallel path's workers count in their own processes).
+        # deltas include the parallel path's worker-side lookups, which
+        # the scheduler folds back into this process's counters.
         metrics.merge(MetricsSnapshot(
             counters={
                 "perf.sweep.tasks": len(tasks),

@@ -117,6 +117,20 @@ class Instruction:
         self.eff_src1 = eff_src1
         self.eff_src2 = eff_src2
 
+    # ``alu_eval`` / ``branch_eval`` hold evaluator lambdas, which do
+    # not pickle; they are a function of the opcode, so the state drops
+    # them and unpickling derives them again.  Programs then ship to
+    # pool workers (parallel SimPoint, time shards of seed variants).
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in _PICKLED_SLOTS)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(_PICKLED_SLOTS, state):
+            setattr(self, name, value)
+        self.alu_eval = ALU_EVAL.get(self.opcode)
+        self.branch_eval = BRANCH_EVAL.get(self.opcode)
+
     def source_registers(self) -> tuple:
         """Explicit source register indices (no PKRU, it is implicit)."""
         sources = []
@@ -152,3 +166,9 @@ class Instruction:
         if parts:
             return f"{op} " + ", ".join(parts)
         return op
+
+
+_PICKLED_SLOTS = tuple(
+    name for name in Instruction.__slots__
+    if name not in ("alu_eval", "branch_eval")
+)

@@ -15,6 +15,18 @@ points run after run.  The run cache memoizes
   (stats + metadata; only untraced runs are cached, so no collector
   rides along).
 
+The store also holds *derived functional quantities* — values the
+experiments compute from a generated program without the timing core,
+such as Fig. 4's useful-instruction fraction.  :func:`memoized` keys
+them with :func:`derived_key`::
+
+    (tag,                      # e.g. "useful-fraction-v1"
+     canonicalize(part), ...,  # workload identity, mode, sample size
+     code_fingerprint())
+
+and reads/writes them through the same :meth:`RunCache.get` /
+:meth:`RunCache.put`, so they count as hits and misses like any run.
+
 The simulator is deterministic, which is what makes this sound: the
 same key can only ever map to one result.  ``REPRO_CACHE=0`` opts out,
 ``REPRO_CACHE_DIR`` relocates the store, and the ``repro cache`` CLI
@@ -32,7 +44,7 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 try:
     import fcntl
@@ -66,7 +78,7 @@ def canonicalize(value):
     Handles the request vocabulary: dataclasses (CoreConfig,
     WorkloadProfile, TraceOptions, cache geometries), enums, and plain
     containers.  Anything else — bound methods, generated programs,
-    open handles — raises, which :func:`cache_key` treats as
+    open handles — raises, which :func:`derived_key` treats as
     "not cacheable"."""
     if isinstance(value, enum.Enum):
         return (type(value).__name__, value.name)
@@ -133,27 +145,41 @@ def cache_key(request) -> Optional[str]:
     """
     if request.trace.enabled:
         return None
+    # v3: the resolved time-shard count K is part of the identity —
+    # sharded results carry a bounded microarchitectural error, so a
+    # K=4 result must never satisfy an exact K=1 request (or a K=8 one:
+    # boundary effects differ per K).  The per-shard warmup length
+    # matters only when sharding is active, so K=1 pins it to 0 and a
+    # plain request hashes identically whatever REPRO_SHARD_WARMUP says.
+    shards = request.resolved_time_shards()
+    return derived_key(
+        "runrequest-v3",
+        request.workload,
+        request.mode,
+        request.policy,
+        request.resolved_instructions(),
+        request.resolved_warmup(),
+        bool(request.fastforward),
+        bool(request.resolved_metrics()),
+        request.config,
+        shards,
+        request.resolved_shard_warmup() if shards > 1 else 0,
+    )
+
+
+def derived_key(tag: str, *parts) -> Optional[str]:
+    """SHA-256 of ``(tag, canonicalize(part) ..., code_fingerprint())``.
+
+    The one key layout of the store: *tag* names what is stored and
+    its version (``"runrequest-v3"`` for :func:`cache_key`, e.g.
+    ``"useful-fraction-v1"`` for a derived functional quantity), the
+    *parts* are the inputs it is a deterministic function of.  None
+    when a part does not canonicalize (e.g. a pre-built workload).
+    """
     try:
-        # v3: the resolved time-shard count K is part of the identity —
-        # sharded results carry a bounded microarchitectural error, so
-        # a K=4 result must never satisfy an exact K=1 request (or a
-        # K=8 one: boundary effects differ per K).  The per-shard
-        # warmup length matters only when sharding is active, so K=1
-        # pins it to 0 and a plain request hashes identically whatever
-        # REPRO_SHARD_WARMUP says.
-        shards = request.resolved_time_shards()
         canonical = (
-            "runrequest-v3",
-            canonicalize(request.workload),
-            canonicalize(request.mode),
-            canonicalize(request.policy),
-            request.resolved_instructions(),
-            request.resolved_warmup(),
-            bool(request.fastforward),
-            bool(request.resolved_metrics()),
-            canonicalize(request.config),
-            shards,
-            request.resolved_shard_warmup() if shards > 1 else 0,
+            tag,
+            *(canonicalize(part) for part in parts),
             code_fingerprint(),
         )
     except TypeError:
@@ -221,6 +247,16 @@ class RunCache:
         self.hits += 1
         self._bump("hits")
         return result
+
+    def absorb(self, hits: int, misses: int) -> None:
+        """Fold lookups a pool worker made into the in-process counts.
+
+        The worker's own ``get`` already bumped the persistent
+        counters; this only makes the submitting process's ``hits`` /
+        ``misses`` — what ``repro report`` prints — include them.
+        """
+        self.hits += hits
+        self.misses += misses
 
     # -- persistent counters ----------------------------------------------
 
@@ -321,3 +357,23 @@ def default_cache() -> RunCache:
     if cache is None:
         cache = _instances[key] = RunCache(directory)
     return cache
+
+
+def memoized(tag: str, compute: Callable[[], object], *parts):
+    """``compute()``, memoized in the default store.
+
+    The entry lives under :func:`derived_key` ``(tag, *parts)`` and is
+    read through :meth:`RunCache.get`, so a lookup counts as a hit or a
+    miss and a corrupt entry is a miss that gets recomputed and
+    overwritten.  With ``REPRO_CACHE=0``, or parts that have no
+    canonical form, *compute* simply runs.
+    """
+    key = derived_key(tag, *parts) if cache_enabled() else None
+    if key is None:
+        return compute()
+    cache = default_cache()
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
+    return value

@@ -99,6 +99,16 @@ def _dispatch(task: Tuple):
         return ("err", f"{type(error).__name__}: {error}")
 
 
+def _dispatch_counted(task: Tuple):
+    """:func:`_dispatch` in a pool worker, plus the run-cache lookups
+    it made there: ``(outcome, hits, misses)``, folded back into the
+    submitting process's counters by :meth:`RunCache.absorb`."""
+    cache = default_cache()
+    hits, misses = cache.hits, cache.misses
+    outcome = _dispatch(task)
+    return outcome, cache.hits - hits, cache.misses - misses
+
+
 # -- result payloads --------------------------------------------------------
 
 
@@ -423,9 +433,14 @@ class SweepService:
                 settle_claim(claim_index, ("ok", result))
 
             if parallel and len(tasks) > 1:
+                def finish_remote(slot: int, reply) -> None:
+                    outcome, hits, misses = reply
+                    default_cache().absorb(hits, misses)
+                    finish(slot, outcome)
+
                 run_longest_first(
-                    _dispatch, tasks, weights=weights,
-                    max_workers=max_workers, on_result=finish,
+                    _dispatch_counted, tasks, weights=weights,
+                    max_workers=max_workers, on_result=finish_remote,
                 )
             else:
                 for slot, task in enumerate(tasks):

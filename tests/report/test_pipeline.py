@@ -192,3 +192,43 @@ class TestDiff:
         loaded = Manifest.load(path)
         assert json.loads(path.read_text())["version"] == loaded.version
         assert diff_manifests(loaded, current).ok
+
+
+class TestParallelCacheSummary:
+    def test_summary_identical_serial_and_parallel(self, tmp_path,
+                                                   monkeypatch):
+        """Pool workers count their run-cache lookups in their own
+        processes; the report summary must fold them back in."""
+        from repro.perf.pool import shutdown_pool
+        from repro.perf.runcache import default_cache
+        from repro.report import pipeline
+
+        labels = ("557.xz_r (SS)", "505.mcf_r (SS)", "541.leela_r (SS)")
+        monkeypatch.setattr(pipeline, "ARTIFACTS", tuple(
+            dataclasses.replace(spec, labels=labels)
+            if spec.name == "fig10" else spec
+            for spec in pipeline.ARTIFACTS
+        ))
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        summaries = {}
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_PARALLEL", flag)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / flag))
+            shutdown_pool()  # workers read REPRO_CACHE_DIR at spawn
+            config = _small_config(
+                tmp_path, out=tmp_path / f"out{flag}", repeats=1,
+                instructions=1_000, only={"fig10"},
+            )
+            passes = [generate_report(config)[1] for _ in range(2)]
+            summaries[flag] = [
+                (counters["cache_hits"], counters["cache_misses"])
+                for counters in passes
+            ]
+            assert default_cache().persistent_counters() == {
+                "hits": sum(hits for hits, _ in summaries[flag]),
+                "misses": sum(misses for _, misses in summaries[flag]),
+            }
+        shutdown_pool()
+        assert summaries["0"] == summaries["1"] == [
+            (0, len(labels)), (len(labels), 0),
+        ]

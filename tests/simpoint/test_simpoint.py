@@ -141,7 +141,10 @@ class TestCheckpointedFlow:
 
     def test_parallel_path_agrees_with_serial(self):
         workload = build_workload(profile_by_label("541.leela_r (SS)"))
-        selection = self._selection(workload)
+        # Two intervals: a single job would be measured inline and the
+        # pool path (which pickles the program) would never run.
+        selection = self._selection(workload, interval_length=1000)
+        assert len(selection.points) > 1
         serial = weighted_ipc(
             workload.program, selection,
             initial_pkru=workload.initial_pkru,

@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generator and instrumentation."""
 
+import pickle
+
 import pytest
 
 from repro.core import CoreConfig, Simulator, WrpkruPolicy
@@ -32,6 +34,29 @@ class TestDeterminism:
             for a, b in zip(first.program.instructions,
                             second.program.instructions)
         )
+
+    def test_built_workload_pickles_round_trip(self):
+        """Pool workers receive programs by pickle (parallel SimPoint,
+        time shards of seed variants): every decoded field must come
+        back, evaluators included, and execution must not change."""
+        from repro.isa.instruction import Instruction
+        from repro.workloads import seed_variant
+
+        workload = build_workload(
+            seed_variant("520.omnetpp_r (SS)", 1), InstrumentMode.PROTECTED
+        )
+        copy = pickle.loads(pickle.dumps(workload))
+        assert copy.profile == workload.profile
+        assert copy.protection_pcs == workload.protection_pcs
+        assert copy.program.labels == workload.program.labels
+        for original, restored in zip(workload.program.instructions,
+                                      copy.program.instructions):
+            for name in Instruction.__slots__:
+                assert getattr(restored, name) == getattr(original, name)
+        first, second = run_functional(workload), run_functional(copy)
+        assert first.state.regs == second.state.regs
+        assert first.state.pc == second.state.pc
+        assert first.wrpkru_executed == second.wrpkru_executed
 
 
 class TestFunctionalSoundness:
