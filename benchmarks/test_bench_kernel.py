@@ -12,10 +12,8 @@ against the checked-in baseline in ``results/BENCH_kernel.json``:
   ``REPRO_KIPS_SCALE=0.5``; the scale multiplies the checked-in
   reference, not the measurement);
 * the optimizations must be *pure*: SimStats are asserted bit-identical
-  with idle fast-skip on vs off, across all four array-memory x
-  macro-step combinations (including the SpecMPK occupancy histogram
-  and the spec/wrongpath fill-provenance counters), and a run-cache
-  hit must return the exact stats of the run that populated it.
+  with idle fast-skip on vs off, and a run-cache hit must return the
+  exact stats of the run that populated it.
 """
 
 import json
@@ -40,38 +38,17 @@ REPEATS = BASELINE["methodology"]["repeats"]
 TOLERANCE = BASELINE["regression_tolerance"]
 
 
-def _simulate(label: str, fast_skip: bool = True, macro_step: bool = True,
-              backend: str = None):
-    """One timed kernel run; returns (stats, elapsed_seconds, sim).
-
-    *backend* pins the memory-system backend ("array"/"dict",
-    ``None`` = the ``REPRO_ARRAY_MEM`` default); *macro_step* toggles
-    the steady-state macro-stepping fast path.
-    """
+def _simulate(label: str, fast_skip: bool = True):
+    """One timed kernel run; returns (stats, elapsed_seconds)."""
     workload = build_workload(
         profile_by_label(label), InstrumentMode.PROTECTED
     )
     config = CoreConfig(
         wrpkru_policy=WrpkruPolicy.SPECMPK, idle_fast_skip=fast_skip,
-        macro_step=macro_step,
     )
     sim = Simulator(
         workload.program, config, initial_pkru=workload.initial_pkru
     )
-    if backend is not None:
-        from repro.memory.hierarchy import MemoryHierarchy
-        from repro.memory.backend import make_tlb
-
-        cfg = sim.config
-        sim.hierarchy = MemoryHierarchy(
-            l1d=cfg.l1d, l1i=cfg.l1i if cfg.model_icache else None,
-            l2=cfg.l2, l3=cfg.l3, dram_latency=cfg.dram_latency,
-            prefetch_next_line=cfg.prefetch_next_line, backend=backend,
-        )
-        sim.tlb = make_tlb(
-            sim.memory.page_table, entries=cfg.tlb_entries,
-            walk_latency=cfg.tlb_walk_latency, backend=backend,
-        )
     sim.prewarm_tlb()
     start = time.perf_counter()
     result = sim.run(
@@ -81,7 +58,7 @@ def _simulate(label: str, fast_skip: bool = True, macro_step: bool = True,
     )
     elapsed = time.perf_counter() - start
     assert result.fault is None
-    return result.stats, elapsed, sim
+    return result.stats, elapsed
 
 
 def _kips(label: str) -> float:
@@ -135,39 +112,6 @@ def test_fast_skip_is_pure_at_bench_budgets():
     on = _simulate(label, fast_skip=True)[0]
     off = _simulate(label, fast_skip=False)[0]
     assert vars(on) == vars(off)
-
-
-def _observe_full(stats, sim):
-    """Everything the four-combo purity gate compares: every SimStats
-    field (fill provenance included), the SpecMPK occupancy histogram,
-    and the memory-system counters both backends must agree on."""
-    return {
-        "stats": vars(stats),
-        "spec_fills": stats.spec_fills,
-        "wrongpath_fills": stats.wrongpath_fills,
-        "pkru_occupancy": sim.specmpk_occupancy_histogram(),
-        "l1d": sim.hierarchy.l1d.stats.as_dict(),
-        "l2": sim.hierarchy.l2.stats.as_dict(),
-        "l3": sim.hierarchy.l3.stats.as_dict(),
-        "tlb": sim.tlb.stats.as_dict(),
-    }
-
-
-def test_four_combo_purity_at_bench_budgets():
-    """{array, dict} x {macro-step on, off} at the KIPS-gate budgets:
-    all four engine combinations produce bit-identical observables."""
-    label = PROFILES[0]
-    reference = None
-    for backend in ("array", "dict"):
-        for macro_step in (True, False):
-            stats, _, sim = _simulate(
-                label, macro_step=macro_step, backend=backend
-            )
-            observed = _observe_full(stats, sim)
-            if reference is None:
-                reference = observed
-            else:
-                assert observed == reference, (backend, macro_step)
 
 
 def test_cache_hit_matches_simulated_run(tmp_path, monkeypatch):

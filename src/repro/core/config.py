@@ -114,16 +114,6 @@ class CoreConfig:
     #: suite asserts this).  Disabled automatically by
     #: ``check_invariants`` so invariants run every cycle.
     idle_fast_skip: bool = True
-    #: Steady-state macro-stepping: while the fetch stream is inside
-    #: *linear* blocks (no WRPKRU, no conditional/indirect control
-    #: flow, no at-head serializing ops) and the ROB_pkru is empty,
-    #: advance whole dispatch groups through a fused stage loop with
-    #: the PKRU-policy branches hoisted out of the rename inner loop.
-    #: Pure simulator-throughput optimization with the same
-    #: bit-identity contract as ``idle_fast_skip``; falls back to the
-    #: exact per-cycle path the moment any disqualifier appears.
-    #: Disabled automatically by ``check_invariants``.
-    macro_step: bool = True
 
     def __post_init__(self) -> None:
         if self.rob_pkru_size < 1:

@@ -24,15 +24,15 @@ from ..isa.emulator import ArchState
 from ..isa.program import Program
 from ..isa.registers import NUM_REGS
 from ..memory.address_space import AddressSpace
-from ..memory.backend import make_tlb
 from ..memory.hierarchy import MemoryHierarchy
+from ..memory.tlb import Tlb
 from ..trace.collector import TraceCollector
 from .branch_predictor import BranchPredictor
 from .config import CoreConfig, WrpkruPolicy
 from .dynamic import DynInst
 from .register_file import PhysRegFile, RenameTables
 from .rob_pkru import SpecMpkUnit
-from .schedule import TimingSchedule, shared_schedule, timing_blocks_enabled
+from .schedule import TimingSchedule, shared_schedule
 from .stats import SimStats
 
 
@@ -92,11 +92,10 @@ class CoreState:
             dram_latency=cfg.dram_latency,
             prefetch_next_line=cfg.prefetch_next_line,
         )
-        self.tlb = make_tlb(
+        self.tlb = Tlb(
             address_space.page_table,
             entries=cfg.tlb_entries,
             walk_latency=cfg.tlb_walk_latency,
-            backend=self.hierarchy.backend,
         )
 
         self.prf = PhysRegFile(cfg.phys_regs)
@@ -133,11 +132,10 @@ class CoreState:
         )
 
         #: Precompiled per-block timing schedule (the static schedule
-        #: layer, :mod:`repro.core.schedule`); ``None`` when
-        #: ``REPRO_TIMING_BLOCKS=0`` selects the single-step engine.
-        self.schedule: Optional[TimingSchedule] = (
-            shared_schedule(program) if timing_blocks_enabled() else None
-        )
+        #: layer, :mod:`repro.core.schedule`).  Setting it to ``None``
+        #: selects the legacy single-step fetch, the reference the
+        #: differential suite compares against.
+        self.schedule: Optional[TimingSchedule] = shared_schedule(program)
 
         # Pipeline structures.  The LQ/SQ are deques: retirement pops
         # from the front, squash from the back — both O(1).
@@ -195,15 +193,6 @@ class CoreState:
         # fast path on vs off).
         self.cycles_fast_skipped = 0
         self.fast_skip_events = 0
-        # Macro-step savings (same telemetry-only contract): cycles
-        # advanced inside the fused linear-stretch loop, and how many
-        # times the loop engaged.
-        self.cycles_macro_stepped = 0
-        self.macro_step_events = 0
-        # Macro engagement-probe memo: linearity verdict for the last
-        # probed fetch PC (see :func:`repro.core.fastpath.macro_advance`).
-        self._macro_probe_pc = -1
-        self._macro_probe_linear = False
 
         # Lazy SpecMPK-unit occupancy histogram.  Occupancy only
         # changes at WRPKRU allocate/retire/squash, so instead of

@@ -1,33 +1,15 @@
-"""Fast-path layer: multi-cycle advancement of quiescent stretches.
+"""Fast-path layer: multi-cycle advancement over idle stretches.
 
 The staged engine steps one cycle at a time only when a stage can make
-progress.  Two fast paths amortize that stepping:
-
-* :func:`idle_skip` — for cycles where every stage would provably be a
-  no-op (nothing retires, completes, issues, renames, or fetches) the
-  clock jumps straight to the next wakeup and the skipped cycles are
-  credited to exactly the counters and top-down buckets per-cycle
-  stepping would have bumped;
-* :func:`macro_advance` — the generalization from *idle* cycles to
-  *linear* stretches.  While the fetch stream sits inside blocks the
-  schedule marked :attr:`~repro.core.schedule.TimingBlock.is_linear`
-  (no WRPKRU, no conditional/indirect control flow, no at-head
-  serializing ops, at least :data:`MACRO_MIN_LINEAR` instructions
-  long) and the ROB_pkru is dynamically empty, whole
-  dispatch groups advance through a fused stage loop whose rename
-  inner loop (:func:`rename_linear`) has every PKRU-policy branch
-  hoisted out.  Retire, writeback, issue, and fetch run their exact
-  stage functions — outstanding misses, replays, and squashes from
-  older in-flight branches are handled bit-exactly — and the loop
-  falls back to the per-cycle path the moment any disqualifier
-  appears (a WRPKRU renames, the stream reaches a non-linear block).
+progress.  For cycles where every stage would provably be a no-op
+(nothing retires, completes, issues, renames, or fetches),
+:func:`idle_skip` jumps the clock straight to the next wakeup and
+credits the skipped cycles to exactly the counters and top-down
+buckets per-cycle stepping would have bumped.
 
 ``SimStats``, the :mod:`repro.trace` accounting, and the SpecMPK
-occupancy histogram are bit-identical with the fast paths on or off
-(the tier-1 suite asserts this), traced or untraced.  Because the
-SpecMPK occupancy is pinned at zero for the whole engagement, the lazy
-occupancy tracker (:func:`~repro.core.corestate.note_pkru_occ`)
-accounts an entire macro stretch in one closed-form credit.
+occupancy histogram are bit-identical with the skip on or off (the
+tier-1 suite asserts this), traced or untraced.
 
 Idle stretches appear behind long L2/DRAM misses and TLB walks; under
 the SERIALIZED WRPKRU policy they also appear while the front end
@@ -38,42 +20,12 @@ where that policy's slowdown shows up as *skipped* rather than
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 from typing import Optional
 
-from ..isa.opcodes import Opcode
-from ..isa.registers import to_u64
-from ..perf.envflag import env_flag
-from ..trace.collector import EventKind, StallKind
+from ..trace.collector import StallKind
 from .corestate import CoreState
-from .stages.commit import retire_stage
-from .stages.fetch import fetch_stage
-from .stages.issue import issue_stage
-from .stages.rename import rename_gate, rename_stage
-from .stages.writeback import writeback_stage
-
-_DECODE = EventKind.DECODE
-_RENAME = EventKind.RENAME
-_DISPATCH = EventKind.DISPATCH
-_CALL = Opcode.CALL
-_NO_ISSUE = (Opcode.NOP, Opcode.HALT, Opcode.JMP)
-
-
-def macro_step_enabled() -> bool:
-    """Steady-state macro-stepping is on unless ``REPRO_MACRO_STEP``
-    disables it."""
-    return env_flag("REPRO_MACRO_STEP", default=True)
-
-
-#: Minimum linear-block length (instructions) for macro engagement.
-#: Engaging costs a probe plus loop setup/teardown; on a block shorter
-#: than a couple of dispatch groups the fused loop disengages before
-#: it amortizes any of that, so tiny straight-line bodies between
-#: branches (or WRPKRU pairs) step exactly.  This is also what makes
-#: the engagement *selective*: WRPKRU-dense and mispredict-dense
-#: programs — whose blocks are all short — never macro-step, which
-#: ``tests/core/test_timing_engine.py`` pins.
-MACRO_MIN_LINEAR = 8
+from .stages.rename import rename_gate
 
 
 def rename_blocked(core: CoreState) -> Optional[tuple]:
@@ -191,270 +143,3 @@ def idle_skip(core: CoreState, max_cycles: int) -> int:
             ),
         )
     return skipped
-
-
-def rename_linear(core: CoreState) -> None:
-    """Rename a dispatch group known to contain no PKRU activity.
-
-    The macro-step specialization of
-    :func:`~repro.core.stages.rename.rename_stage`: legal only inside
-    an engaged macro stretch, where ``serialize_block`` is provably
-    ``None`` (only a renaming WRPKRU sets it) and the ROB_pkru is
-    empty (``current_dep()`` is ``None`` and ``_next_uid`` is a loop
-    constant).  Those facts delete the WRPKRU gate, the serialization
-    check, and the per-memory-instruction PKRU dependence lookup from
-    the inner loop; every remaining check, stall counter, and trace
-    event is the exact stepping path's.  The moment the group's next
-    instruction is a disqualifier (WRPKRU/LFENCE), the rest of the
-    cycle is handed to the real stage with the running ``renamed``
-    count, which keeps the handoff bit-exact.
-    """
-    frontend = core.frontend
-    trace = core.trace
-    stats = core.stats
-    cycle = core.cycle
-    cfg = core.config
-    depth = cfg.frontend_depth
-    if not frontend:
-        stats.rename_stall_empty += 1
-        if trace is not None:
-            trace.stall(StallKind.FRONTEND_EMPTY)
-        return
-    if frontend[0].fetch_cycle + depth > cycle:
-        if trace is not None:
-            trace.stall(StallKind.FRONTEND_EMPTY)
-        return
-    width = cfg.rename_width
-    al_size = cfg.active_list_size
-    lq_size = cfg.load_queue_size
-    sq_size = cfg.store_queue_size
-    iq_size = cfg.issue_queue_size
-    active_list = core.active_list
-    load_queue = core.load_queue
-    store_queue = core.store_queue
-    rename_tables = core.rename_tables
-    rmt = rename_tables.rmt
-    free_list = rename_tables.free_list
-    prf = core.prf
-    ready = prf.ready
-    waiters_map = prf.waiters
-    al_append = active_list.append
-    pop_frontend = frontend.popleft
-    next_uid = core.specmpk._next_uid
-    renamed = 0
-    while renamed < width:
-        if not frontend:
-            stats.rename_stall_empty += renamed == 0
-            if trace is not None and renamed == 0:
-                trace.stall(StallKind.FRONTEND_EMPTY)
-            return
-        inst = frontend[0]
-        if inst.fetch_cycle + depth > cycle:
-            if trace is not None and renamed == 0:
-                trace.stall(StallKind.FRONTEND_EMPTY)
-            return  # still in the front-end pipe
-        if len(active_list) >= al_size:
-            stats.rename_stall_al_full += 1
-            if trace is not None:
-                trace.stall(StallKind.BACKEND_AL_FULL)
-            return
-
-        static = inst.static
-        if static.is_wrpkru or static.is_lfence:
-            # Disqualifier mid-group (wrong-path fetch can outrun the
-            # engagement probe): the exact stage finishes the cycle.
-            rename_stage(core, renamed)
-            return
-        ldst = static.eff_dst
-
-        # Structural gates, same order as the exact loop (whose WRPKRU
-        # branch is unreachable here).
-        gate = None
-        if static.is_load and len(load_queue) >= lq_size:
-            gate = ("rename_stall_lsq_full", StallKind.BACKEND_LSQ_FULL)
-        elif static.is_store and len(store_queue) >= sq_size:
-            gate = ("rename_stall_lsq_full", StallKind.BACKEND_LSQ_FULL)
-        elif static.needs_iq and core.iq_count >= iq_size:
-            gate = ("rename_stall_iq_full", StallKind.BACKEND_IQ_FULL)
-        elif ldst is not None and not free_list:
-            gate = ("rename_stall_no_preg", StallKind.BACKEND_NO_PREG)
-        if gate is not None:
-            stat, flag = gate
-            setattr(stats, stat, getattr(stats, stat) + 1)
-            if trace is not None:
-                trace.stall(flag)
-            return
-
-        # PKRU dependence: current_dep() is None while the ROB_pkru is
-        # empty, and DynInst.pkru_dep defaults to None — nothing to tag.
-
-        # Register rename (inlined RenameTables.allocate; free list
-        # checked by the gate above).
-        psrc1 = psrc2 = None
-        lsrc1 = static.eff_src1
-        if lsrc1 is not None:
-            inst.psrc1 = psrc1 = rmt[lsrc1]
-        lsrc2 = static.eff_src2
-        if lsrc2 is not None:
-            inst.psrc2 = psrc2 = rmt[lsrc2]
-        if ldst is not None:
-            inst.ldst = ldst
-            inst.pdst = pdst = free_list.pop()
-            rmt[ldst] = pdst
-            ready[pdst] = False
-
-        inst.pkru_mark = next_uid
-        al_append(inst)
-        if static.is_load:
-            load_queue.append(inst)
-        elif static.is_store:
-            store_queue.append(inst)
-            core._unknown_stores.append(inst.seq)
-
-        inst.dispatched = True
-        if not static.needs_iq:
-            # NOP/HALT/JMP/CALL shortcuts that skip the IQ (RDPKRU
-            # executes at the head of the Active List).
-            op = static.opcode
-            if op is _CALL:
-                for waiter in prf.write(inst.pdst, to_u64(inst.pc + 1)):
-                    if waiter.squashed or waiter.issued:
-                        continue
-                    waiter.waiting_on -= 1
-                    if waiter.waiting_on == 0 and waiter.dispatched:
-                        heappush(core.ready_heap, (waiter.seq, waiter))
-                inst.executed = inst.completed = True
-            elif op in _NO_ISSUE:
-                inst.executed = inst.completed = True
-        else:
-            # Dispatch into the issue queue with wakeup registration.
-            core.iq_count += 1
-            inst.in_iq = True
-            waits = 0
-            if psrc1 is not None and not ready[psrc1]:
-                pending = waiters_map.get(psrc1)
-                if pending is None:
-                    waiters_map[psrc1] = [inst]
-                else:
-                    pending.append(inst)
-                waits += 1
-            if psrc2 is not None and not ready[psrc2]:
-                pending = waiters_map.get(psrc2)
-                if pending is None:
-                    waiters_map[psrc2] = [inst]
-                else:
-                    pending.append(inst)
-                waits += 1
-            inst.waiting_on = waits
-            if waits == 0:
-                heappush(core.ready_heap, (inst.seq, inst))
-
-        if trace is not None:
-            trace.event(cycle, _DECODE, inst)
-            trace.event(cycle, _RENAME, inst)
-            trace.event(cycle, _DISPATCH, inst)
-        pop_frontend()
-        renamed += 1
-
-
-def macro_advance(core: CoreState, max_cycles: int,
-                  budget: Optional[int] = None) -> int:
-    """Advance the machine through a steady-state *linear* stretch.
-
-    Engages when the SpecMPK unit is quiescent (no serialization drain,
-    empty ROB_pkru) and the fetch stream sits inside a linear block of
-    at least :data:`MACRO_MIN_LINEAR` instructions.  Each fused cycle
-    runs the exact retire/writeback/issue/fetch stage functions — in
-    the exact stepping order — with :func:`rename_linear` in the
-    rename slot and :func:`idle_skip` folded in, so outstanding
-    misses, replays, and mispredicted *older* branches resolve
-    bit-identically to per-cycle stepping.  Disengages at the first
-    cycle boundary where any disqualifier appears.
-
-    Returns the number of cycles advanced (0 = not engaged; a cycle
-    that retires HALT or commits a fault counts as 1, mirroring
-    ``step_cycle``'s early return).
-    """
-    if core.serialize_block is not None or core.specmpk.occupancy:
-        return 0
-    if core.fetch_stopped:
-        # Back-end drain: idle_skip already covers the idle cycles and
-        # the busy ones are too few to amortize an engagement.
-        return 0
-    schedule = core.schedule
-    # Memoized engagement probe: while fetch sits at the same PC
-    # (buffer full, redirect penalty), the verdict cannot change.
-    pc = core.fetch_pc
-    if pc != core._macro_probe_pc:
-        block = schedule.block_at(pc)
-        core._macro_probe_pc = pc
-        core._macro_probe_linear = (
-            block is not None and block.is_linear
-            and block.length >= MACRO_MIN_LINEAR
-        )
-    if not core._macro_probe_linear:
-        return 0
-    trace = core.trace
-    stats = core.stats
-    specmpk = core.specmpk
-    idle = core.config.idle_fast_skip
-    start = core.cycle
-    advanced = 0
-    core.macro_step_events += 1
-    while core.cycle < max_cycles:
-        if budget is not None and stats.instructions_retired >= budget:
-            break
-        if idle and idle_skip(core, max_cycles):
-            continue  # no stage ran; engagement state is unchanged
-        if trace is not None:
-            this_cycle = core.cycle
-            retired_before = stats.instructions_retired
-        retire_stage(core)
-        if core.halted or core._fault is not None:
-            stats.cycles = core.cycle + 1 - core._cycle_base
-            if trace is not None:
-                _macro_end_cycle(core, trace, this_cycle, retired_before)
-            advanced += 1  # the halting cycle, like step_cycle's early return
-            break
-        writeback_stage(core)
-        issue_stage(core)
-        rename_linear(core)
-        fetch_stage(core)
-        core.cycle += 1
-        stats.cycles = core.cycle - core._cycle_base
-        core.cycles_macro_stepped += 1
-        if trace is not None:
-            _macro_end_cycle(core, trace, this_cycle, retired_before)
-        # Fall back to exact stepping the moment a disqualifier
-        # appears: a WRPKRU renamed (serialization drain or ROB_pkru
-        # allocation via the rename_linear handoff), or the fetch
-        # stream reached a non-linear block.
-        if core.serialize_block is not None or specmpk.occupancy:
-            break
-        if not core.fetch_stopped:
-            pc = core.fetch_pc
-            if pc != core._macro_probe_pc:
-                block = schedule.block_at(pc)
-                core._macro_probe_pc = pc
-                core._macro_probe_linear = (
-                    block is not None and block.is_linear
-                    and block.length >= MACRO_MIN_LINEAR
-                )
-            if not core._macro_probe_linear:
-                break
-    return (core.cycle - start) + advanced
-
-
-def _macro_end_cycle(core: CoreState, trace, this_cycle: int,
-                     retired_before: int) -> None:
-    """``Simulator._trace_end_cycle``, replicated for the fused loop."""
-    trace.end_cycle(
-        this_cycle,
-        core.stats.instructions_retired - retired_before,
-        len(core.frontend),
-        len(core.active_list),
-        core.iq_count,
-        len(core.load_queue),
-        len(core.store_queue),
-        core.specmpk.occupancy,
-    )

@@ -21,8 +21,8 @@ Since the staged-engine refactor this module is the *orchestration*
 layer only: the machine state lives in
 :class:`~repro.core.corestate.CoreState`, the per-stage logic in the
 free-function modules under :mod:`repro.core.stages`, the precompiled
-per-block schedules in :mod:`repro.core.schedule`, and the multi-cycle
-quiescent advance in :mod:`repro.core.fastpath`.  :class:`Simulator`
+per-block schedules in :mod:`repro.core.schedule`, and the idle-cycle
+skip in :mod:`repro.core.fastpath`.  :class:`Simulator`
 subclasses ``CoreState`` so stage functions and user code see one flat
 namespace, and keeps the run loop, cosimulation, and invariant
 checking.
@@ -40,7 +40,7 @@ from ..trace.collector import TraceCollector
 from .config import CoreConfig
 from .corestate import CoreState
 from .dynamic import DynInst
-from .fastpath import idle_skip, macro_advance, macro_step_enabled
+from .fastpath import idle_skip
 from .stats import SimResult, SimStats
 from .stages.commit import retire_stage
 from .stages.fetch import fetch_stage
@@ -142,7 +142,7 @@ class Simulator(CoreState):
         fatal for time sharding, where shard windows must tile the
         committed stream without double-counting boundary instructions.
         This variant caps retirement (via ``retire_limit``, honoured by
-        the retire stage and both fast paths) so the warmup ends and the
+        the retire stage) so the warmup ends and the
         measurement stops on exact instruction boundaries: the stats
         window covers precisely *instructions* committed instructions
         (fewer only if HALT or a fault ends the program first).
@@ -165,27 +165,14 @@ class Simulator(CoreState):
     def _run_until(self, max_cycles: int, budget: Optional[int]) -> None:
         stats = self.stats
         step = self.step_cycle
-        exact_only = self.config.check_invariants
         skip = (
             self._idle_skip
-            if self.config.idle_fast_skip and not exact_only
-            else None
-        )
-        macro = (
-            self._macro_advance
-            if (
-                self.config.macro_step
-                and not exact_only
-                and self.schedule is not None
-                and macro_step_enabled()
-            )
+            if self.config.idle_fast_skip and not self.config.check_invariants
             else None
         )
         while not self.halted and self._fault is None and self.cycle < max_cycles:
             if budget is not None and stats.instructions_retired >= budget:
                 break
-            if macro is not None and macro(max_cycles, budget):
-                continue
             if skip is not None and skip(max_cycles):
                 continue
             step()
@@ -194,18 +181,12 @@ class Simulator(CoreState):
     #: layer (:func:`repro.core.fastpath.idle_skip`) bound as a method.
     _idle_skip = idle_skip
 
-    #: Fused advance through steady-state linear stretches
-    #: (:func:`repro.core.fastpath.macro_advance`) bound as a method.
-    _macro_advance = macro_advance
-
     def reset_stats(self) -> None:
         """Start a fresh measurement window at the current cycle."""
         self.stats = SimStats()
         self._cycle_base = self.cycle
         self.cycles_fast_skipped = 0
         self.fast_skip_events = 0
-        self.cycles_macro_stepped = 0
-        self.macro_step_events = 0
         self._pkru_occ_hist = {}
         self._pkru_occ_last = self.cycle
         if self.trace is not None:
@@ -246,12 +227,9 @@ class Simulator(CoreState):
 
         Walks the program's static block sequence — compiling blocks
         through the shared schedule as it goes — and installs each
-        block's ``code_span`` lines not already present.  Presence is
-        checked in one batch per block — the check is non-mutating, so
-        element order provably cannot matter — while the fills stay in
-        deterministic address order.  Returns the number of lines
-        installed; 0 when the I-cache is not modelled or no schedule is
-        attached.
+        block's ``code_span`` lines not already present, in address
+        order.  Returns the number of lines installed; 0 when the
+        I-cache is not modelled or no schedule is attached.
         """
         l1i = self.hierarchy.l1i
         if l1i is None or self.schedule is None:
@@ -265,17 +243,10 @@ class Simulator(CoreState):
                 break
             pc += block.length
             first, last = block.code_span
-            addresses = list(range(first - first % line, last + 1, line))
-            if hasattr(l1i, "contains_many"):
-                missing = [
-                    a for a, hit in zip(addresses, l1i.contains_many(addresses))
-                    if not hit
-                ]
-            else:
-                missing = [a for a in addresses if not l1i.contains(a)]
-            for address in missing:
-                self.hierarchy.fetch_access(address)
-                installed += 1
+            for address in range(first - first % line, last + 1, line):
+                if not l1i.contains(address):
+                    self.hierarchy.fetch_access(address)
+                    installed += 1
         return installed
 
     def step_cycle(self) -> None:

@@ -14,9 +14,9 @@ instead of once per dynamic instruction:
   without a ``program.fetch`` call, a bounds check, and a terminator
   classification per instruction;
 * the **classification flags**: whether the block ends in control flow
-  or HALT (the only events that redirect or stop fetch), whether it
-  contains WRPKRU or memory operations (the fast-path layer's
-  quiescence probes);
+  or HALT (the only events that redirect or stop fetch);
+* the **code span**: the block's first and last byte address, which
+  I-cache prewarming walks;
 * the **precomputed dispatch state** every instruction already carries
   from decode (:class:`~repro.isa.instruction.Instruction`): latency,
   prebound ``alu_eval``/``branch_eval`` evaluators, and the effective
@@ -34,12 +34,11 @@ One :class:`TimingSchedule` serves every simulator over the same
 ``Program`` (see :func:`shared_schedule`), so a sweep pays the walk
 once per static block, not once per run.
 
-``REPRO_TIMING_BLOCKS=0`` disables the layer globally; the stage
-modules then fall back to the legacy single-step paths (per-instruction
-``program.fetch``) and the fast-path layer restricts itself to the
-idle-cycle skip.  The differential suite in
-``tests/core/test_timing_engine.py`` asserts the two engines are
-bit-identical.
+Every simulator attaches the shared schedule.  The stage modules keep
+the legacy single-step fetch (per-instruction ``program.fetch``) as a
+reference: setting ``core.schedule = None`` selects it, and the
+differential suite in ``tests/core/test_timing_engine.py`` asserts the
+two front ends are bit-identical.
 """
 
 from __future__ import annotations
@@ -49,19 +48,7 @@ from typing import Dict, Optional
 
 from ..isa.blockcache import MAX_BLOCK_LENGTH
 from ..isa.instruction import Instruction
-from ..isa.opcodes import Opcode
 from ..isa.program import CODE_BASE, Program
-from ..perf.envflag import env_flag
-
-#: Terminators compatible with macro-stepping: unconditional direct
-#: control flow whose target is known at fetch (never mispredicts).
-_LINEAR_TERMS = (Opcode.JMP, Opcode.CALL)
-
-
-def timing_blocks_enabled() -> bool:
-    """Precompiled timing schedules are on unless ``REPRO_TIMING_BLOCKS``
-    disables them."""
-    return env_flag("REPRO_TIMING_BLOCKS", default=True)
 
 
 class TimingBlock:
@@ -81,22 +68,13 @@ class TimingBlock:
         term_is_halt: The terminator stops fetch rather than
             (potentially) redirecting it.
         length: Total instructions covered, terminator included.
-        has_wrpkru: Block contains a WRPKRU (quiescence probe input).
-        has_memory: Block contains a load or store.
-        is_linear: Block qualifies for steady-state macro-stepping: no
-            WRPKRU, no LFENCE/RDPKRU/CLFLUSH (at-head serializing
-            executions), and the terminator — if any — is unconditional
-            *direct* control flow (JMP/CALL), so fetch never has a
-            misprediction to recover from inside the block.
-            Conditional, indirect, and return terminators disqualify.
         code_span: Prebound ``(first, last)`` byte addresses of the
             block's instruction stream (blocks are PC-contiguous), used
-            for batched I-cache presence checks where event order
-            provably cannot matter (prewarm planning).
+            to plan I-cache prewarming.
     """
 
     __slots__ = ("leader", "plains", "term", "term_is_halt", "length",
-                 "has_wrpkru", "has_memory", "is_linear", "code_span")
+                 "code_span")
 
     def __init__(self, leader: int, plains: tuple,
                  term: Optional[Instruction], term_is_halt: bool) -> None:
@@ -106,16 +84,6 @@ class TimingBlock:
         self.term_is_halt = term_is_halt
         self.length = len(plains) + (term is not None)
         insts = plains if term is None else plains + (term,)
-        self.has_wrpkru = any(inst.is_wrpkru for inst in insts)
-        self.has_memory = any(inst.is_memory for inst in insts)
-        special = self.has_wrpkru or any(
-            inst.is_lfence or inst.is_rdpkru or inst.is_clflush
-            for inst in insts
-        )
-        self.is_linear = not special and (
-            term is None
-            or (not term_is_halt and term.opcode in _LINEAR_TERMS)
-        )
         self.code_span = (
             CODE_BASE + 4 * insts[0].pc,
             CODE_BASE + 4 * insts[-1].pc,

@@ -2,13 +2,16 @@
 
 Two equivalent front ends share this module:
 
-* the **block path** (default) walks the precompiled
+* the **block path** walks the precompiled
   :class:`~repro.core.schedule.TimingBlock` descriptors — whole
   dispatch groups of non-redirecting instructions are appended with no
   per-instruction ``program.fetch`` call, bounds check, or terminator
-  classification;
-* the **legacy path** (``REPRO_TIMING_BLOCKS=0``) fetches one
-  instruction at a time, exactly as the pre-staged engine did.
+  classification.  Every simulator runs it: ``CoreState`` always
+  attaches a schedule;
+* the **legacy path** fetches one instruction at a time, exactly as
+  the pre-staged engine did.  It is kept as the reference the
+  differential suite (and ``repro bench kernel --compare``) checks
+  the block path against, selected by setting ``core.schedule = None``.
 
 Both produce the same DynInst stream, trace events, and fetch-state
 transitions; the differential suite asserts bit-identity.

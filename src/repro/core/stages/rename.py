@@ -35,15 +35,9 @@ _CALL = Opcode.CALL
 _NO_ISSUE = (Opcode.NOP, Opcode.HALT, Opcode.JMP)
 
 
-def rename_stage(core: CoreState, renamed: int = 0) -> None:
-    """Rename this cycle's dispatch group, starting *renamed* slots in.
-
-    *renamed* is nonzero only when the macro-step fast path
-    (:func:`~repro.core.fastpath.rename_linear`) hands the rest of a
-    cycle over after meeting a disqualifying instruction mid-group; the
-    stall accounting below already keys on ``renamed == 0`` so the
-    handoff is exact.
-    """
+def rename_stage(core: CoreState) -> None:
+    """Rename, tag and dispatch up to ``rename_width`` instructions off
+    the front-end buffer, stopping at the first structural gate."""
     frontend = core.frontend
     trace = core.trace
     stats = core.stats
@@ -54,12 +48,12 @@ def rename_stage(core: CoreState, renamed: int = 0) -> None:
     # or the oldest buffered instruction is still in the front-end pipe.
     # Mirrors the loop's first-iteration checks exactly.
     if not frontend:
-        stats.rename_stall_empty += renamed == 0
-        if trace is not None and renamed == 0:
+        stats.rename_stall_empty += 1
+        if trace is not None:
             trace.stall(StallKind.FRONTEND_EMPTY)
         return
     if frontend[0].fetch_cycle + depth > cycle:
-        if trace is not None and renamed == 0:
+        if trace is not None:
             trace.stall(StallKind.FRONTEND_EMPTY)
         return
     width = cfg.rename_width
@@ -86,6 +80,7 @@ def rename_stage(core: CoreState, renamed: int = 0) -> None:
     # allocates, which this loop itself does — the refresh below keeps
     # it equal to specmpk.current_dep() without a call per consumer.
     cur_dep = specmpk.rmt_tag if specmpk.rmt_valid else None
+    renamed = 0
     while renamed < width:
         if not frontend:
             stats.rename_stall_empty += renamed == 0

@@ -1,7 +1,6 @@
 """Memory substrate: physical memory, page tables, TLBs, caches, DRAM."""
 
 from .address_space import AddressSpace
-from .backend import array_mem_enabled, make_cache, make_tlb, resolve_backend
 from .page_table import PAGE_SHIFT, PAGE_SIZE, PageTable, PageTableEntry, vpn_of
 from .physical import WORD_SIZE, MemoryImage, PhysicalMemory
 from .stats import AccessStats
@@ -16,9 +15,5 @@ __all__ = [
     "PageTableEntry",
     "PhysicalMemory",
     "WORD_SIZE",
-    "array_mem_enabled",
-    "make_cache",
-    "make_tlb",
-    "resolve_backend",
     "vpn_of",
 ]

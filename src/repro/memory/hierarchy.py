@@ -4,13 +4,13 @@
 returns the round-trip latency of the level that hit.  Instruction and
 data sides share L2/L3.  The model is presence/latency only; values are
 architectural and come from :class:`~repro.memory.AddressSpace`.
+Every level is a dict-backed :class:`~repro.memory.cache.Cache`.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence
 
-from .backend import make_cache, resolve_backend
 from .cache import Cache
 
 
@@ -43,24 +43,15 @@ class MemoryHierarchy:
         dram_latency: int = DEFAULT_DRAM_LATENCY,
         line_size: int = 64,
         prefetch_next_line: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
-        self.backend = resolve_backend(backend)
-        self.l1d = make_cache(
-            "L1D", l1d.size, l1d.assoc, line_size, l1d.latency, self.backend
-        )
+        self.l1d = Cache("L1D", l1d.size, l1d.assoc, line_size, l1d.latency)
         self.l1i = (
-            make_cache("L1I", l1i.size, l1i.assoc, line_size, l1i.latency,
-                       self.backend)
+            Cache("L1I", l1i.size, l1i.assoc, line_size, l1i.latency)
             if l1i is not None
             else None
         )
-        self.l2 = make_cache(
-            "L2", l2.size, l2.assoc, line_size, l2.latency, self.backend
-        )
-        self.l3 = make_cache(
-            "L3", l3.size, l3.assoc, line_size, l3.latency, self.backend
-        )
+        self.l2 = Cache("L2", l2.size, l2.assoc, line_size, l2.latency)
+        self.l3 = Cache("L3", l3.size, l3.assoc, line_size, l3.latency)
         self.dram_latency = dram_latency
         self.line_size = line_size
         self.prefetch_next_line = prefetch_next_line
@@ -112,25 +103,8 @@ class MemoryHierarchy:
         return self.dram_latency
 
     def probe_latency_many(self, addresses: Sequence[int]) -> List[int]:
-        """Batch :meth:`probe_latency` over a whole address stream.
-
-        Probes are non-mutating, so element order provably cannot
-        matter and the whole stream is legal to check in one pass.  On
-        the array backend each level answers with one vectorized sweep
-        of its tag matrix; the dict backend falls back to per-address
-        probes with identical results.
-        """
-        if not hasattr(self.l1d, "contains_many"):
-            return [self.probe_latency(a) for a in addresses]
-        latencies = [self.dram_latency] * len(addresses)
-        # Walk outermost-in so nearer levels overwrite farther ones,
-        # mirroring the early-outs of the scalar probe.
-        for cache in (self.l3, self.l2, self.l1d):
-            hits = cache.contains_many(addresses)
-            latency = cache.latency
-            for i in hits.nonzero()[0]:
-                latencies[i] = latency
-        return latencies
+        """:meth:`probe_latency` over a whole address stream."""
+        return [self.probe_latency(a) for a in addresses]
 
     def is_cached(self, address: int) -> bool:
         return (

@@ -1,11 +1,8 @@
 """Shared access-statistics type for every memory-system structure.
 
-``Cache`` and ``Tlb`` used to carry separate counter classes repeating
-the same ``accesses``/hit-rate arithmetic; the array backends would
-have added two more.  One :class:`AccessStats` now serves every
-structure and every backend, so the differential suite
-(``tests/memory/test_array_backend.py``) compares a single type and
-the obs layer reads one shape.
+One :class:`AccessStats` serves both :class:`~repro.memory.cache.Cache`
+and :class:`~repro.memory.tlb.Tlb`, so the ``accesses``/hit-rate
+arithmetic lives in one place and the obs layer reads one shape.
 
 Fields a structure never touches simply stay zero (a cache never
 defers a fill; a TLB never evicts a single entry outside a flush).
@@ -17,12 +14,7 @@ from typing import Dict
 
 
 class AccessStats:
-    """Hit/miss/fill/eviction counters shared by caches and TLBs.
-
-    The same instance shape is used by the dict and the array backends;
-    the bit-identity contract between them is asserted over
-    :meth:`as_dict`.
-    """
+    """Hit/miss/fill/eviction counters shared by caches and TLBs."""
 
     __slots__ = (
         "hits",
@@ -56,7 +48,7 @@ class AccessStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> Dict[str, int]:
-        """Every counter, by name — the differential-test observable."""
+        """Every counter, by name."""
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

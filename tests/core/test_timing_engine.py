@@ -16,18 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoreConfig, Simulator, WrpkruPolicy
-from repro.core.schedule import shared_schedule, timing_blocks_enabled
+from repro.core.schedule import shared_schedule
 from repro.isa import EAX, ProgramBuilder
 from repro.mpk import make_pkru
 from repro.trace import TraceCollector, TraceConfig
-
-
-@pytest.fixture(autouse=True)
-def _blocks_on(monkeypatch):
-    """This suite compares engines explicitly by pinning ``schedule``;
-    a REPRO_TIMING_BLOCKS=0 environment must not flip the staged side
-    of the differential to the single-step engine."""
-    monkeypatch.delenv("REPRO_TIMING_BLOCKS", raising=False)
 
 
 WORK_REGS = list(range(2, 10))
@@ -340,112 +332,6 @@ def test_traced_random_programs_match(body):
     assert_engines_identical(program, WrpkruPolicy.SPECMPK, traced=True)
 
 
-def _linear_program(body_insts=200):
-    """One long straight-line block: the macro-step fast path's home
-    turf.  No conditional branches, no WRPKRU — ALU/memory churn ending
-    in an unconditional JMP, so the body block is linear (a block whose
-    terminator is HALT is not)."""
-    b = ProgramBuilder()
-    data = b.region("data", 4096)
-    b.label("main")
-    b.li(10, data.base)
-    for _ in range(body_insts):
-        b.addi(2, 2, 1)
-        b.st(2, 10, 0)
-        b.ld(3, 10, 0)
-        b.xor(4, 3, 2)
-    b.jmp("end")
-    b.label("end")
-    b.halt()
-    return b.build()
-
-
-class TestMacroStep:
-    """Steady-state macro-stepping: identity, selectivity, and flags."""
-
-    @pytest.fixture(autouse=True)
-    def _macro_on(self, monkeypatch):
-        """Engagement assertions must not be vacuously skipped by a
-        REPRO_MACRO_STEP=0 environment (the flag-off test sets it
-        explicitly)."""
-        monkeypatch.delenv("REPRO_MACRO_STEP", raising=False)
-
-    def run_macro(self, program, policy=WrpkruPolicy.SPECMPK, macro=True,
-                  traced=False):
-        config = CoreConfig(wrpkru_policy=policy, macro_step=macro)
-        collector = (
-            TraceCollector(TraceConfig(capacity=1 << 12,
-                                       cycle_capacity=1 << 12))
-            if traced else None
-        )
-        sim = Simulator(program, config, trace=collector)
-        result = sim.run(max_cycles=MAX_CYCLES)
-        return result, sim, collector
-
-    @pytest.mark.parametrize("policy", list(WrpkruPolicy))
-    def test_dense_programs_never_macro_step(self, policy):
-        """WRPKRU-dense and mispredict-dense programs must never
-        macro-step: every block is either non-linear (WRPKRU inside,
-        conditional terminator) or shorter than MACRO_MIN_LINEAR."""
-        for program in (_wrpkru_dense_program(), _mispredict_dense_program()):
-            result, sim, _ = self.run_macro(program, policy)
-            assert result.halted
-            assert sim.cycles_macro_stepped == 0
-            assert sim.macro_step_events == 0
-
-    def test_linear_program_macro_steps(self):
-        """A long straight-line program engages the fused loop."""
-        result, sim, _ = self.run_macro(_linear_program())
-        assert result.halted
-        assert sim.macro_step_events > 0
-        assert sim.cycles_macro_stepped > 0
-
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_linear_program_identity(self, traced):
-        """Macro on vs off: every observable matches on the program
-        where the fused loop actually runs (not vacuous identity)."""
-        program = _linear_program()
-        on = self.run_macro(program, macro=True, traced=traced)
-        off = self.run_macro(program, macro=False, traced=traced)
-        assert on[1].cycles_macro_stepped > 0
-        assert off[1].cycles_macro_stepped == 0
-        assert observe(on[0], on[1], on[2]) == observe(off[0], off[1], off[2])
-
-    @settings(max_examples=15, deadline=None)
-    @given(body=random_body())
-    def test_random_programs_identity(self, body):
-        """Random programs under SPECMPK: macro on == macro off."""
-        ops, iterations = body
-        program = build_program(ops, iterations)
-        on = self.run_macro(program)
-        off = self.run_macro(program, macro=False)
-        assert observe(on[0], on[1]) == observe(off[0], off[1])
-
-    def test_env_flag_disables_macro(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACRO_STEP", "0")
-        result, sim, _ = self.run_macro(_linear_program())
-        assert result.halted
-        assert sim.macro_step_events == 0
-
-    def test_check_invariants_disables_macro(self):
-        """Under invariant checking the simulator must step exactly,
-        so the macro path auto-disables."""
-        config = CoreConfig(cosimulate=True, check_invariants=True)
-        sim = Simulator(_linear_program(50), config)
-        result = sim.run(max_cycles=MAX_CYCLES)
-        assert result.halted and result.fault is None
-        assert sim.macro_step_events == 0
-
-    def test_cosim_with_macro_step(self):
-        """Lockstep cosimulation (without invariant checking) runs
-        inside the real retire stage, so it is macro-compatible."""
-        config = CoreConfig(cosimulate=True)
-        sim = Simulator(_linear_program(50), config)
-        result = sim.run(max_cycles=MAX_CYCLES)
-        assert result.halted and result.fault is None
-        assert sim.macro_step_events > 0
-
-
 def test_four_way_engine_fast_skip_identity():
     """{staged, legacy} x {fast-skip on, off} all agree: the fast-path
     layer is shared by both engines and pure under each."""
@@ -488,8 +374,8 @@ class TestScheduleCache:
 
 class TestPrewarmIcache:
     def test_prewarm_installs_code_lines_once(self):
-        """The batch-planned I-cache prewarm installs every compiled
-        block's code lines; a second pass finds nothing missing."""
+        """The I-cache prewarm installs every compiled block's code
+        lines; a second pass finds nothing missing."""
         program = _wrpkru_dense_program(5)
         sim = Simulator(program, CoreConfig(model_icache=True))
         installed = sim.prewarm_icache()
@@ -510,22 +396,6 @@ class TestPrewarmIcache:
         # The whole program fits in L1I: every fetch after the prewarm
         # hits (the blocks' code spans cover all fetched lines).
         assert sim.hierarchy.l1i.stats.misses == misses_before
-
-
-class TestTimingBlocksFlag:
-    def test_env_flag_disables_schedule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMING_BLOCKS", "0")
-        assert not timing_blocks_enabled()
-        sim = Simulator(_wrpkru_dense_program(2))
-        assert sim.schedule is None
-        result = sim.run(max_cycles=MAX_CYCLES)
-        assert result.halted
-
-    def test_env_flag_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMING_BLOCKS", raising=False)
-        assert timing_blocks_enabled()
-        sim = Simulator(_wrpkru_dense_program(2))
-        assert sim.schedule is not None
 
 
 class TestCosimGoldenModelPin:

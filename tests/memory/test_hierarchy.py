@@ -41,30 +41,28 @@ class TestLatencies:
         assert hierarchy.probe_latency(0x2000) == 5
 
     def test_probe_latency_many_matches_scalar(self):
-        """The batched sweep equals per-address probe_latency on every
-        backend and mutates nothing (the Flush+Reload receiver's
-        whole-sweep timer relies on both properties)."""
-        for backend in ("array", "dict"):
-            hierarchy = MemoryHierarchy(
-                l1d=CacheGeometry(1024, 2, 5),
-                l1i=None,
-                l2=CacheGeometry(4096, 4, 15),
-                l3=CacheGeometry(16384, 8, 40),
-                dram_latency=150,
-                backend=backend,
-            )
-            hierarchy.access(0x1000)
-            hierarchy.access(0x2000)
-            # Push 0x3000 out of L1 but keep it in L2.
-            hierarchy.access(0x3000)
-            set_stride = 8 * 64
-            hierarchy.access(0x3000 + set_stride)
-            hierarchy.access(0x3000 + 2 * set_stride)
-            probes = [0x1000, 0x2000, 0x3000, 0x9000, 0x1040]
-            expected = [hierarchy.probe_latency(a) for a in probes]
-            before = hierarchy.l1d.stats.as_dict()
-            assert list(hierarchy.probe_latency_many(probes)) == expected
-            assert hierarchy.l1d.stats.as_dict() == before, backend
+        """The sweep equals per-address probe_latency and mutates
+        nothing (the Flush+Reload receiver's whole-sweep timer relies
+        on both properties)."""
+        hierarchy = MemoryHierarchy(
+            l1d=CacheGeometry(1024, 2, 5),
+            l1i=None,
+            l2=CacheGeometry(4096, 4, 15),
+            l3=CacheGeometry(16384, 8, 40),
+            dram_latency=150,
+        )
+        hierarchy.access(0x1000)
+        hierarchy.access(0x2000)
+        # Push 0x3000 out of L1 but keep it in L2.
+        hierarchy.access(0x3000)
+        set_stride = 8 * 64
+        hierarchy.access(0x3000 + set_stride)
+        hierarchy.access(0x3000 + 2 * set_stride)
+        probes = [0x1000, 0x2000, 0x3000, 0x9000, 0x1040]
+        expected = [hierarchy.probe_latency(a) for a in probes]
+        before = hierarchy.l1d.stats.as_dict()
+        assert list(hierarchy.probe_latency_many(probes)) == expected
+        assert hierarchy.l1d.stats.as_dict() == before
 
 
 class TestClflush:

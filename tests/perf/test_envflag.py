@@ -6,8 +6,12 @@ recognises the usual falsy spellings, and both ``REPRO_PARALLEL`` and
 ``REPRO_CACHE`` share it.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.perf.envflag import FALSY, env_flag, env_int
 
 
@@ -100,3 +104,29 @@ def test_repro_parallel_truthy_uses_pool(monkeypatch):
     # SERIALIZED is weighted heavier than NONSECURE_SPEC at equal budget.
     assert calls["weights"][0] > calls["weights"][1]
     assert len(results["429.mcf (CPI)"]) == 2
+
+
+def _knobs_read_by_source():
+    """Every ``REPRO_*`` name spelled out under ``src/repro``.  The
+    bare prefix ``repro_knobs()`` filters on does not match the
+    pattern, which needs at least one character after the underscore."""
+    pattern = re.compile(r"REPRO_[A-Z0-9_]+")
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        names.update(pattern.findall(path.read_text()))
+    return names
+
+
+def _knobs_in_docs_table():
+    """The first-column knobs of docs/performance.md's
+    "Environment knobs" table."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "performance.md"
+    section = doc.read_text().split("## Environment knobs", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section, re.M))
+
+
+def test_knob_inventory():
+    """The documented knob table names exactly the knobs the source
+    reads: a new knob needs a row, a deleted one loses its row."""
+    assert _knobs_read_by_source() == _knobs_in_docs_table()
