@@ -178,7 +178,6 @@ class CoreState:
         self._cycle_base = 0
         self.halted = start_state.halted
         self._fault: Optional[BaseException] = None
-        self._retired_this_run = 0
         # Exact retire budget for the current measurement window, or
         # None for the classic semantics (the final cycle retires its
         # full commit group, overshooting the budget by up to

@@ -14,73 +14,45 @@ class DynInst:
     flags, branch-resolution state, memory state, and the SpecMPK
     bookkeeping (PKRU dependence tag, check outcomes).
 
-    Construction is the hottest allocation in the simulator (one per
-    fetched instruction, wrong paths included), so every field whose
-    initial value is a constant lives as a *class* default and is only
-    materialised in the instance ``__dict__`` when first written:
-    ``__init__`` then performs 10 stores instead of ~45, which measures
-    ~25% faster than the equivalent ``__slots__`` initialiser.  Reads
-    of never-written fields fall back to the class attribute — all
-    defaults are immutable, so sharing is safe.
+    One is built per fetched instruction, wrong paths included, and the
+    stages read and write its fields on every cycle it is in flight, so
+    the layout is fixed: every field is a slot and ``__init__`` stores
+    all of them.  With constant fields left as class defaults instead,
+    each instance writes its fields into its own ``__dict__`` in
+    whatever order the pipeline reaches them — more names and orders
+    than CPython's shared-key dicts hold — and every read of an
+    unwritten field falls through to the class; over the whole cycle
+    core that costs far more than the extra stores cost construction
+    (docs/performance.md §9).
     """
 
-    # -- class-level defaults (see docstring) -----------------------------
-
-    # renamed operands
-    psrc1: Optional[int] = None
-    psrc2: Optional[int] = None
-    pdst: Optional[int] = None
-    ldst: Optional[int] = None
-    # PKRU dependence: ROBpkru entry id this instruction waits on
-    pkru_dep: Optional[int] = None
-
-    # progress flags
-    dispatched = False
-    issued = False
-    executed = False
-    completed = False
-    squashed = False
-
-    # scheduling
-    waiting_on = 0
-    complete_cycle: Optional[int] = None
-
-    # branch state
-    predicted_taken = False
-    predicted_target: Optional[int] = None
-    actual_taken = False
-    actual_target: Optional[int] = None
-    mispredicted = False
-    ghist_checkpoint = None
-    ras_checkpoint = None
-
-    # memory state
-    address: Optional[int] = None
-    mem_value: Optional[int] = None
-    pkey: Optional[int] = None
-    tlb_entry = None
-    forwarding_disabled = False
-    replay_at_head = False
-    replay_started = False
-    #: Why this access replays at the head ("tlb" or "check").
-    replay_reason: Optional[str] = None
-    forwarded_from: Optional["DynInst"] = None
-    latency = 0
-    #: This load's speculative execution installed a new L1D line
-    #: (provenance bit for the wrong-path fill counters).
-    caused_fill = False
-
-    # result / exception
-    result: Optional[int] = None
-    fault: Optional[BaseException] = None
-
-    # WRPKRU state
-    rob_pkru_id: Optional[int] = None
-    wrpkru_value: Optional[int] = None
-    pkru_mark = 0
-
-    # issue-queue occupancy
-    in_iq = False
+    __slots__ = (
+        "static", "seq", "pc", "fetch_cycle",
+        # cached classification flags (hot paths)
+        "is_load", "is_store", "is_memory", "is_control",
+        "is_wrpkru", "is_rdpkru",
+        # renamed operands
+        "psrc1", "psrc2", "pdst", "ldst",
+        # PKRU dependence: ROBpkru entry id this instruction waits on
+        "pkru_dep",
+        # progress flags
+        "dispatched", "issued", "executed", "completed", "squashed",
+        # scheduling
+        "waiting_on", "complete_cycle",
+        # branch state
+        "predicted_taken", "predicted_target", "actual_taken",
+        "actual_target", "mispredicted", "ghist_checkpoint",
+        # memory state
+        "address", "mem_value", "pkey", "tlb_entry",
+        "forwarding_disabled", "replay_at_head", "replay_started",
+        "replay_reason", "forwarded_from", "latency", "caused_fill",
+        # result / exception
+        "result", "fault",
+        # WRPKRU state
+        "rob_pkru_id", "wrpkru_value", "pkru_mark",
+        # issue-queue occupancy
+        "in_iq",
+    )
 
     def __init__(self, static: Instruction, seq: int, fetch_cycle: int) -> None:
         self.static = static
@@ -94,6 +66,52 @@ class DynInst:
         self.is_control = static.is_control
         self.is_wrpkru = static.is_wrpkru
         self.is_rdpkru = static.is_rdpkru
+        # renamed operands
+        self.psrc1: Optional[int] = None
+        self.psrc2: Optional[int] = None
+        self.pdst: Optional[int] = None
+        self.ldst: Optional[int] = None
+        self.pkru_dep: Optional[int] = None
+        # progress flags
+        self.dispatched = False
+        self.issued = False
+        self.executed = False
+        self.completed = False
+        self.squashed = False
+        # scheduling
+        self.waiting_on = 0
+        self.complete_cycle: Optional[int] = None
+        # branch state
+        self.predicted_taken = False
+        self.predicted_target: Optional[int] = None
+        self.actual_taken = False
+        self.actual_target: Optional[int] = None
+        self.mispredicted = False
+        self.ghist_checkpoint = None
+        # memory state
+        self.address: Optional[int] = None
+        self.mem_value: Optional[int] = None
+        self.pkey: Optional[int] = None
+        self.tlb_entry = None
+        self.forwarding_disabled = False
+        self.replay_at_head = False
+        self.replay_started = False
+        #: Why this access replays at the head ("tlb" or "check").
+        self.replay_reason: Optional[str] = None
+        self.forwarded_from: Optional[DynInst] = None
+        self.latency = 0
+        #: This load's speculative execution installed a new L1D line
+        #: (provenance bit for the wrong-path fill counters).
+        self.caused_fill = False
+        # result / exception
+        self.result: Optional[int] = None
+        self.fault: Optional[BaseException] = None
+        # WRPKRU state
+        self.rob_pkru_id: Optional[int] = None
+        self.wrpkru_value: Optional[int] = None
+        self.pkru_mark = 0
+        # issue-queue occupancy
+        self.in_iq = False
 
     # -- convenience delegations ------------------------------------------
 

@@ -181,7 +181,7 @@ def complete_load(core: CoreState, inst: DynInst, value, latency,
     inst.result = value
     inst.latency = latency
     inst.fault = fault
-    # Inlined schedule_completion (one call saved per load).
+    # Book the completion-event calendar inline (no call per load).
     if latency < 1:
         latency = 1
     when = core.cycle + latency

@@ -1,9 +1,10 @@
 """Writeback: completion, wakeup plumbing, and predictor training.
 
 This module owns the completion machinery every executing stage shares:
-:func:`mark_issued` (issue-queue bookkeeping + the ISSUE trace event),
-:func:`schedule_completion` (the completion-event calendar), and the
-wakeup plumbing (:func:`wake`, :func:`write_dest`).  The
+:func:`mark_issued` (issue-queue bookkeeping + the ISSUE trace event)
+and the wakeup plumbing (:func:`wake`, :func:`write_dest`).  Executing
+stages book each instruction into the completion-event calendar
+(``CoreState.events``, keyed by completion cycle) inline; the
 :func:`writeback_stage` itself drains the calendar entry of the current
 cycle oldest-first, finishes each instruction, and hands resolved
 mispredictions to the squash stage.
@@ -25,7 +26,6 @@ from .squash import squash_after
 _by_seq = attrgetter("seq")
 
 _ISSUE = EventKind.ISSUE
-_EXECUTE = EventKind.EXECUTE
 _WRITEBACK = EventKind.WRITEBACK
 
 
@@ -36,21 +36,6 @@ def mark_issued(core: CoreState, inst: DynInst) -> None:
         core.iq_count -= 1
     if core.trace is not None:
         core.trace.event(core.cycle, _ISSUE, inst)
-
-
-def schedule_completion(core: CoreState, inst: DynInst, latency: int) -> None:
-    if latency < 1:
-        latency = 1
-    when = core.cycle + latency
-    inst.complete_cycle = when
-    events = core.events
-    pending = events.get(when)
-    if pending is None:
-        events[when] = [inst]
-    else:
-        pending.append(inst)
-    if core.trace is not None:
-        core.trace.event(core.cycle, _EXECUTE, inst, info=latency)
 
 
 def write_dest(core: CoreState, inst: DynInst, value: int) -> None:
