@@ -130,6 +130,72 @@ class TestFillProvenance:
             assert name in snap.counters
 
 
+#: Every non-``core.`` counter one untraced, L1I-less run exports; the
+#: ``core.`` counters are the SimStats scalars (checked by value below).
+_EXPECTED_OTHER_COUNTERS = {
+    "memory.fills.speculative", "memory.fills.wrongpath",
+    "mpk.wrpkru.allocated", "mpk.wrpkru.retired", "mpk.wrpkru.squashed",
+    "mpk.checks.load", "mpk.checks.load_failed",
+    "mpk.checks.store", "mpk.checks.store_failed",
+    "mpk.faults.architectural",
+    *(f"memory.{level}.{event}"
+      for level in ("l1d", "l2", "l3")
+      for event in ("hits", "misses", "evictions", "invalidations", "fills")),
+    "memory.prefetches",
+    *(f"memory.tlb.{event}"
+      for event in ("hits", "misses", "fills", "deferred_fills", "flushes")),
+    "perf.fastskip.cycles_saved", "perf.fastskip.events",
+}
+
+
+class TestSnapshotSchema:
+    """Pins the wire schema of one short fixed run: names and types."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return execute(RunRequest(
+            workload="557.xz_r (SS)",
+            policy=WrpkruPolicy.SPECMPK,
+            instructions=1000,
+            warmup=0,
+            metrics=True,
+        ), cache=False)
+
+    def test_exact_names(self, result):
+        snap = result.metrics
+        scalars = {
+            name for name in result.stats.as_dict()
+            if name not in ("ipc", "wrpkru_per_kilo", "rename_stall_fraction",
+                            "spec_fills", "wrongpath_fills")
+        }
+        assert len(scalars) == 28
+        assert set(snap.counters) == (
+            {f"core.{name}" for name in scalars} | _EXPECTED_OTHER_COUNTERS
+        )
+        assert set(snap.gauges) == {
+            "core.ipc", "core.wrpkru_per_kilo", "core.rename_stall_fraction",
+        }
+        assert set(snap.histograms) == {"core.rob_pkru.occupancy"}
+
+    def test_value_types(self, result):
+        snap = result.metrics
+        assert all(type(value) is int for value in snap.counters.values())
+        assert all(type(value) is float for value in snap.gauges.values())
+        for bins in snap.histograms.values():
+            assert all(type(value) is int and type(count) is int
+                       for value, count in bins.items())
+
+    def test_core_counters_equal_simstats(self, result):
+        snap = result.metrics
+        core = {name[len("core."):]: value
+                for name, value in snap.counters.items()
+                if name.startswith("core.")}
+        for name, value in core.items():
+            assert value == getattr(result.stats, name), name
+        for name, value in snap.gauges.items():
+            assert value == getattr(result.stats, name[len("core."):]), name
+
+
 class TestGatingAndMeta:
     def test_repro_metrics_0_suppresses_snapshot(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "0")
