@@ -502,8 +502,9 @@ def _cmd_metrics(args) -> int:
         else:
             text = snapshot.to_json(indent=2)
         if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
+            from repro.report import atomic_write_text
+
+            atomic_write_text(args.out, text + "\n")
             print(f"metrics written to {args.out}")
         else:
             print(text)

@@ -31,8 +31,7 @@ from ..core.config import CoreConfig, WrpkruPolicy
 from ..core.pipeline import Simulator
 from ..core.stats import SimStats
 from ..isa.emulator import make_emulator
-from ..obs.collect import collect_run_metrics
-from ..obs.registry import metrics_enabled
+from ..obs.collect import collect_run_metrics, metrics_enabled
 from ..obs.snapshot import MetricsSnapshot
 from ..perf.envflag import env_float, env_int
 from ..perf.runcache import cache_enabled, default_cache

@@ -23,9 +23,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from ..core.config import CoreConfig, WrpkruPolicy
 from ..core.stats import SimStats
 from ..obs.progress import ProgressReporter, maybe_reporter
-from ..obs.snapshot import MetricsAccumulator, MetricsSnapshot
 from ..perf.envflag import env_flag
-from ..perf.runcache import default_cache
 from ..workloads.generator import GeneratedWorkload
 from ..workloads.instrument import InstrumentMode
 from ..workloads.profiles import ALL_PROFILES, WorkloadProfile
@@ -157,7 +155,6 @@ def sweep_policies(
     request: Optional[RunRequest] = None,
     max_workers: Optional[int] = None,
     progress: Optional[ProgressReporter] = None,
-    metrics: Optional[MetricsAccumulator] = None,
     time_shards: Optional[int] = None,
 ) -> Dict[str, Dict[WrpkruPolicy, SimStats]]:
     """Run every workload under every policy (the Fig. 9 grid).
@@ -180,12 +177,8 @@ def sweep_policies(
     the exact monolithic path), so figure outputs are unchanged unless
     sharding is asked for.
 
-    Observability hooks: pass a *progress* reporter (or set
-    ``REPRO_PROGRESS=1`` to get a default one on stderr) for a live
-    runs-completed/ETA heartbeat, and a *metrics*
-    :class:`~repro.obs.MetricsAccumulator` to aggregate every run's
-    snapshot plus sweep-level counters (task count, run-cache hit/miss
-    deltas) across the grid.
+    Pass a *progress* reporter (or set ``REPRO_PROGRESS=1`` to get a
+    default one on stderr) for a live runs-completed/ETA heartbeat.
     """
     if labels is None:
         labels = [profile.label for profile in ALL_PROFILES]
@@ -213,16 +206,12 @@ def sweep_policies(
     ]
     if progress is None:
         progress = maybe_reporter(len(tasks), "sweep")
-    cache = default_cache()
-    hits_before, misses_before = cache.hits, cache.misses
 
     def _record(index: int, result, error) -> None:
         if result is None:
             return  # failures surface via BatchError after the batch
         label, policy = grid[index]
         results[label][policy] = result.stats
-        if metrics is not None:
-            metrics.add(result.metrics)
         if progress is not None:
             progress.advance(f"{label}/{policy.value}")
 
@@ -230,19 +219,6 @@ def sweep_policies(
         tasks, parallel=parallel, max_workers=max_workers,
         on_result=_record,
     )
-    if metrics is not None:
-        # Sweep-level telemetry rides in via merge() so it does not
-        # inflate the per-run ``aggregate.runs`` count.  The run-cache
-        # deltas include the parallel path's worker-side lookups, which
-        # the scheduler folds back into this process's counters.
-        metrics.merge(MetricsSnapshot(
-            counters={
-                "perf.sweep.tasks": len(tasks),
-                "perf.runcache.hits": cache.hits - hits_before,
-                "perf.runcache.misses": cache.misses - misses_before,
-            },
-            gauges={"perf.sweep.parallel": 1 if parallel else 0},
-        ))
     if progress is not None:
         progress.finish()
     return results

@@ -1,25 +1,25 @@
 """``repro.obs``: the unified telemetry subsystem.
 
-One write side, one read side, one wire format:
+One write side, one wire format, one read side:
 
-* :class:`MetricsRegistry` — hierarchical counters/gauges/histograms/
-  timers with shared null instruments when disabled
-  (:mod:`repro.obs.registry`).
-* :class:`MetricsSnapshot` — immutable, associatively mergeable view
-  that crosses process boundaries and lands on ``RunResult.metrics``
-  (:mod:`repro.obs.snapshot`).
 * :func:`collect_run_metrics` — freezes a finished simulator run into
-  a snapshot spanning core/mpk/memory/perf (:mod:`repro.obs.collect`).
-* :class:`ProgressReporter` — live sweep progress/ETA heartbeat
-  (:mod:`repro.obs.progress`).
+  a :class:`MetricsSnapshot` spanning core/mpk/memory/perf, copying
+  each counter from the simulator's own attributes
+  (:mod:`repro.obs.collect`).
+* :class:`MetricsSnapshot` — immutable, associatively mergeable
+  counters/gauges/histograms that cross process boundaries and land
+  on ``RunResult.metrics``; ``merge`` aggregates runs, ``diff`` and
+  ``top`` compare them (:mod:`repro.obs.snapshot`).
 * Exporters — JSONL archive + Prometheus text exposition
   (:mod:`repro.obs.exporters`).
+* :class:`ProgressReporter` — live sweep progress/ETA heartbeat
+  (:mod:`repro.obs.progress`).
 
 ``REPRO_METRICS=0`` disables end-of-run collection globally;
 ``REPRO_PROGRESS=1`` enables the live sweep heartbeat.
 """
 
-from .collect import collect_allocator_metrics, collect_run_metrics
+from .collect import collect_run_metrics, metrics_enabled
 from .exporters import (
     jsonl_line,
     load_snapshot,
@@ -28,28 +28,11 @@ from .exporters import (
     write_jsonl,
 )
 from .progress import ProgressReporter, maybe_reporter, progress_enabled
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-    Timer,
-    metrics_enabled,
-)
-from .snapshot import MetricsAccumulator, MetricsSnapshot
+from .snapshot import MetricsSnapshot
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsAccumulator",
-    "MetricsRegistry",
-    "MetricsScope",
     "MetricsSnapshot",
     "ProgressReporter",
-    "Timer",
-    "collect_allocator_metrics",
     "collect_run_metrics",
     "jsonl_line",
     "load_snapshot",

@@ -19,14 +19,15 @@ returns, and freezes all of them into one hierarchical snapshot:
 
 Every value is copied from an existing attribute, so the snapshot
 *reconciles exactly* with the legacy counters — asserted by
-``tests/obs/test_run_metrics.py``.
+``tests/obs/test_run_metrics.py``.  ``REPRO_METRICS`` (parsed by the
+shared :func:`repro.perf.envflag.env_flag`) gates collection globally.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .registry import MetricsRegistry
+from ..perf.envflag import env_flag
 from .snapshot import MetricsSnapshot
 
 #: SimStats scalars re-homed outside ``core.`` because they are really
@@ -41,14 +42,9 @@ _STAT_ALIASES = {
 _DERIVED_GAUGES = ("ipc", "wrpkru_per_kilo", "rename_stall_fraction")
 
 
-def _cache_level_metrics(registry: MetricsRegistry, name: str, cache) -> None:
-    scope = registry.scope(f"memory.{name}")
-    stats = cache.stats
-    scope.counter("hits").inc(stats.hits)
-    scope.counter("misses").inc(stats.misses)
-    scope.counter("evictions").inc(stats.evictions)
-    scope.counter("invalidations").inc(stats.invalidations)
-    scope.counter("fills").inc(stats.fills)
+def metrics_enabled() -> bool:
+    """Metrics collection is on unless ``REPRO_METRICS`` disables it."""
+    return env_flag("REPRO_METRICS", default=True)
 
 
 def collect_run_metrics(
@@ -60,67 +56,53 @@ def collect_run_metrics(
     Reads only — the simulator can keep running (e.g. between SimPoint
     measurement windows) and a later call reflects the newer window.
     """
-    registry = MetricsRegistry(enabled=True)
     stats = sim.stats
-    stat_dict = stats.as_dict()
-
-    core = registry.scope("core")
-    for name, value in stat_dict.items():
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, float] = {}
+    for name, value in stats.as_dict().items():
         if name in _DERIVED_GAUGES:
-            core.gauge(name).set(value)
-        elif name in _STAT_ALIASES:
-            registry.counter(_STAT_ALIASES[name]).inc(value)
+            gauges[f"core.{name}"] = value
         else:
-            core.counter(name).inc(value)
-    registry.histogram("core.rob_pkru.occupancy").observe_many(
-        sim.specmpk_occupancy_histogram()
-    )
+            counters[_STAT_ALIASES.get(name, f"core.{name}")] = value
+    histograms = {
+        "core.rob_pkru.occupancy": dict(sim.specmpk_occupancy_histogram()),
+    }
     for stage, bins in stats.occupancy_histograms.items():
-        registry.histogram(f"core.occupancy.{stage}").observe_many(bins)
+        histograms[f"core.occupancy.{stage}"] = dict(bins)
 
     specmpk = sim.specmpk
-    mpk = registry.scope("mpk")
-    mpk.counter("wrpkru.allocated").inc(specmpk.allocated)
-    mpk.counter("wrpkru.retired").inc(specmpk.retired)
-    mpk.counter("wrpkru.squashed").inc(specmpk.squashed)
-    mpk.counter("checks.load").inc(specmpk.load_checks)
-    mpk.counter("checks.load_failed").inc(specmpk.load_check_fails)
-    mpk.counter("checks.store").inc(specmpk.store_checks)
-    mpk.counter("checks.store_failed").inc(specmpk.store_check_fails)
-    mpk.counter("faults.architectural").inc(
+    counters["mpk.wrpkru.allocated"] = specmpk.allocated
+    counters["mpk.wrpkru.retired"] = specmpk.retired
+    counters["mpk.wrpkru.squashed"] = specmpk.squashed
+    counters["mpk.checks.load"] = specmpk.load_checks
+    counters["mpk.checks.load_failed"] = specmpk.load_check_fails
+    counters["mpk.checks.store"] = specmpk.store_checks
+    counters["mpk.checks.store_failed"] = specmpk.store_check_fails
+    counters["mpk.faults.architectural"] = (
         1 if getattr(sim, "_fault", None) is not None else 0
     )
 
     hierarchy = sim.hierarchy
-    _cache_level_metrics(registry, "l1d", hierarchy.l1d)
-    if hierarchy.l1i is not None:
-        _cache_level_metrics(registry, "l1i", hierarchy.l1i)
-    _cache_level_metrics(registry, "l2", hierarchy.l2)
-    _cache_level_metrics(registry, "l3", hierarchy.l3)
-    registry.counter("memory.prefetches").inc(hierarchy.prefetches_issued)
-    tlb_scope = registry.scope("memory.tlb")
+    levels = [("l1d", hierarchy.l1d), ("l1i", hierarchy.l1i),
+              ("l2", hierarchy.l2), ("l3", hierarchy.l3)]
+    for level, cache in levels:
+        if cache is None:
+            continue
+        cache_stats = cache.stats
+        counters[f"memory.{level}.hits"] = cache_stats.hits
+        counters[f"memory.{level}.misses"] = cache_stats.misses
+        counters[f"memory.{level}.evictions"] = cache_stats.evictions
+        counters[f"memory.{level}.invalidations"] = cache_stats.invalidations
+        counters[f"memory.{level}.fills"] = cache_stats.fills
+    counters["memory.prefetches"] = hierarchy.prefetches_issued
     tlb_stats = sim.tlb.stats
-    tlb_scope.counter("hits").inc(tlb_stats.hits)
-    tlb_scope.counter("misses").inc(tlb_stats.misses)
-    tlb_scope.counter("fills").inc(tlb_stats.fills)
-    tlb_scope.counter("deferred_fills").inc(tlb_stats.deferred_fills)
-    tlb_scope.counter("flushes").inc(tlb_stats.flushes)
+    counters["memory.tlb.hits"] = tlb_stats.hits
+    counters["memory.tlb.misses"] = tlb_stats.misses
+    counters["memory.tlb.fills"] = tlb_stats.fills
+    counters["memory.tlb.deferred_fills"] = tlb_stats.deferred_fills
+    counters["memory.tlb.flushes"] = tlb_stats.flushes
 
-    perf = registry.scope("perf.fastskip")
-    perf.counter("cycles_saved").inc(sim.cycles_fast_skipped)
-    perf.counter("events").inc(sim.fast_skip_events)
+    counters["perf.fastskip.cycles_saved"] = sim.cycles_fast_skipped
+    counters["perf.fastskip.events"] = sim.fast_skip_events
 
-    return registry.snapshot(meta=meta)
-
-
-def collect_allocator_metrics(
-    allocator,
-    meta: Optional[Dict[str, object]] = None,
-) -> MetricsSnapshot:
-    """pKey churn of one :class:`~repro.mpk.pkey_allocator.PKeyAllocator`."""
-    registry = MetricsRegistry(enabled=True)
-    scope = registry.scope("mpk.pkey")
-    scope.counter("allocs").inc(allocator.allocs)
-    scope.counter("frees").inc(allocator.frees)
-    scope.gauge("in_use").set(len(allocator.allocated))
-    return registry.snapshot(meta=meta)
+    return MetricsSnapshot(counters, gauges, histograms, dict(meta or {}))

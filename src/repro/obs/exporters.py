@@ -1,9 +1,9 @@
 """Snapshot exporters: JSON Lines and Prometheus text exposition.
 
-JSONL is the machine-readable archive format (one snapshot per line —
-append-friendly, ``jq``-friendly, and the CI benchmark artifact);
-Prometheus text is the scrape format for wiring a sweep box into an
-existing monitoring stack.
+JSONL is the machine-readable archive format (one snapshot per line,
+``jq``-friendly, the ledger's ``metrics.jsonl`` and the CI benchmark
+artifact); Prometheus text is the scrape format for wiring a sweep box
+into an existing monitoring stack.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 from typing import Iterable, List, Union
 
+from ..report.writer import atomic_write_text
 from .snapshot import MetricsSnapshot
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_]")
@@ -30,17 +31,15 @@ def jsonl_line(snapshot: MetricsSnapshot) -> str:
 def write_jsonl(
     path: Union[str, Path],
     snapshots: Iterable[MetricsSnapshot],
-    append: bool = False,
 ) -> int:
-    """Write snapshots to *path*, one per line; returns lines written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with open(path, "a" if append else "w") as handle:
-        for snapshot in snapshots:
-            handle.write(jsonl_line(snapshot) + "\n")
-            written += 1
-    return written
+    """Write snapshots to *path*, one per line; returns lines written.
+
+    The file is replaced atomically, so a failure part-way through the
+    snapshots leaves any earlier content of *path* intact.
+    """
+    lines = [jsonl_line(snapshot) + "\n" for snapshot in snapshots]
+    atomic_write_text(path, "".join(lines))
+    return len(lines)
 
 
 def read_jsonl(path: Union[str, Path]) -> List[MetricsSnapshot]:

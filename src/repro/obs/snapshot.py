@@ -1,13 +1,15 @@
-"""Immutable point-in-time view of a metrics registry.
+"""Immutable point-in-time view of one run's (or many runs') metrics.
 
-A :class:`MetricsSnapshot` is what crosses process boundaries (worker
-shards pickle them back to the sweep driver), lands on
-:class:`~repro.harness.api.RunResult`, and feeds the exporters.  The
-merge operation is **associative and commutative** — counters and
-histogram bins add, gauges take the maximum, metadata keeps only the
-keys every operand agrees on — so aggregating worker shards gives one
-deterministic result regardless of completion order or grouping
-(asserted by ``tests/obs/test_snapshot.py``).
+A :class:`MetricsSnapshot` is the one metrics type: it is what
+:func:`repro.obs.collect.collect_run_metrics` builds, what crosses
+process boundaries (worker shards pickle them back to the parent),
+what lands on :class:`~repro.harness.api.RunResult`, and what feeds
+the exporters.  The merge operation is **associative and
+commutative** — counters and histogram bins add, gauges take the
+maximum, metadata keeps only the keys every operand agrees on — so
+aggregating worker shards gives one deterministic result regardless
+of completion order or grouping (asserted by
+``tests/obs/test_snapshot.py``).
 """
 
 from __future__ import annotations
@@ -72,14 +74,14 @@ class MetricsSnapshot:
         """``self - baseline``: what changed between two snapshots.
 
         Counters and gauges subtract (missing keys count as 0);
-        histogram bins subtract with empty bins dropped.  Used by
-        ``repro metrics diff`` to compare two saved runs.
+        unchanged counters and empty histogram bins are dropped.  Used
+        by ``repro metrics diff`` to compare two saved runs.
         """
-        names = set(self.counters) | set(baseline.counters)
-        counters = {
-            name: self.counters.get(name, 0) - baseline.counters.get(name, 0)
-            for name in names
-        }
+        counters = {}
+        for name in sorted(set(self.counters) | set(baseline.counters)):
+            change = self.counters.get(name, 0) - baseline.counters.get(name, 0)
+            if change:
+                counters[name] = change
         names = set(self.gauges) | set(baseline.gauges)
         gauges = {
             name: self.gauges.get(name, 0.0) - baseline.gauges.get(name, 0.0)
@@ -113,24 +115,17 @@ class MetricsSnapshot:
         """The *n* largest counters, optionally under a dotted prefix.
 
         *by_magnitude* sorts by ``abs()`` — the useful order for diff
-        snapshots where regressions are negative.
+        snapshots where regressions are negative.  Ties sort by name.
         """
         items = [
             (name, value) for name, value in self.counters.items()
             if prefix is None
             or name == prefix or name.startswith(prefix + ".")
         ]
+        items.sort(key=lambda kv: kv[0])
         key = (lambda kv: abs(kv[1])) if by_magnitude else (lambda kv: kv[1])
         items.sort(key=key, reverse=True)
         return items[:n]
-
-    def subsystems(self) -> Dict[str, int]:
-        """Counter count per top-level name component (registry shape)."""
-        shape: Dict[str, int] = {}
-        for name in self.counters:
-            root = name.split(".", 1)[0]
-            shape[root] = shape.get(root, 0) + 1
-        return shape
 
     # -- (de)serialization -------------------------------------------------
 
@@ -164,33 +159,3 @@ class MetricsSnapshot:
     @classmethod
     def from_json(cls, text: str) -> "MetricsSnapshot":
         return cls.from_dict(json.loads(text))
-
-
-class MetricsAccumulator:
-    """In-place merge sink for per-run snapshots (sweep aggregation).
-
-    ``sweep_policies(metrics=accumulator)`` and the SimPoint measurement
-    path feed one of these; :meth:`snapshot` returns the running merge
-    plus an ``aggregate.runs`` counter recording how many shards landed.
-    """
-
-    def __init__(self) -> None:
-        self._merged = MetricsSnapshot.empty()
-        self.runs = 0
-
-    def add(self, snapshot: Optional[MetricsSnapshot]) -> None:
-        """Merge one shard; ``None`` (metrics disabled in the worker)
-        is counted but contributes nothing."""
-        self.runs += 1
-        if snapshot is not None:
-            self._merged = self._merged.merge(snapshot)
-
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Merge extra metrics (sweep-level counters such as pool size
-        or run-cache deltas) without counting a run."""
-        self._merged = self._merged.merge(snapshot)
-
-    def snapshot(self) -> MetricsSnapshot:
-        merged = self._merged.merge(MetricsSnapshot.empty())
-        merged.counters["aggregate.runs"] = self.runs
-        return merged

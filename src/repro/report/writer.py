@@ -1,8 +1,10 @@
 """Atomic text-artifact writes (tmp + ``os.replace``).
 
 Every ``figN_*``/``tableN_*`` text artifact — whether written by
-``repro reproduce``, ``repro report`` or the benchmark suite — goes
-through :func:`atomic_write_text`, the same write discipline the spool
+``repro reproduce``, ``repro report`` or the benchmark suite — and the
+ledger's ``manifest.json``, ``manifest.md`` and ``metrics.jsonl`` (via
+:func:`repro.obs.exporters.write_jsonl`) go through
+:func:`atomic_write_text`, the same write discipline the spool
 and the run cache already use: the content lands in a hidden sibling
 temp file and is renamed into place in one ``os.replace``, so an
 interrupted regeneration can never leave a truncated artifact behind

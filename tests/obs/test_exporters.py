@@ -1,5 +1,7 @@
 """JSONL and Prometheus exporters."""
 
+import pytest
+
 from repro.obs.exporters import (
     jsonl_line,
     load_snapshot,
@@ -36,11 +38,19 @@ class TestJsonl:
             0: 180, 1: 20
         }
 
-    def test_append_mode(self, tmp_path):
+    def test_failed_write_keeps_earlier_content(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        write_jsonl(path, [_snap(1)])
-        write_jsonl(path, [_snap(2)], append=True)
-        assert len(read_jsonl(path)) == 2
+        write_jsonl(path, [_snap(1), _snap(2)])
+        before = path.read_bytes()
+
+        def interrupted():
+            yield _snap(3)
+            raise RuntimeError("report interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, interrupted())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
     def test_load_snapshot_accepts_json_and_jsonl(self, tmp_path):
         pretty = tmp_path / "one.json"

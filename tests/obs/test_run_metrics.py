@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import WrpkruPolicy
 from repro.harness.api import RunRequest, TraceOptions, execute
-from repro.obs.snapshot import MetricsAccumulator
+from repro.obs.collect import metrics_enabled
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,18 @@ class TestGatingAndMeta:
         ))
         assert result.metrics is not None
 
+    @pytest.mark.parametrize("raw,expected", [
+        ("0", False), ("false", False), ("off", False),
+        ("1", True), ("yes", True),
+    ])
+    def test_repro_metrics_flag(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_METRICS", raw)
+        assert metrics_enabled() is expected
+
+    def test_default_is_enabled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        assert metrics_enabled() is True
+
     def test_meta_identifies_the_run(self, traced_specmpk_result):
         meta = traced_specmpk_result.metrics.meta
         assert meta["label"] == "557.xz_r (SS)"
@@ -258,13 +270,12 @@ class TestCacheInteraction:
 
 
 class TestSweepAggregation:
-    def test_sweep_feeds_accumulator_and_progress(self):
+    def test_sweep_drives_progress(self):
         import io
 
         from repro.harness.runner import sweep_policies
         from repro.obs.progress import ProgressReporter
 
-        accumulator = MetricsAccumulator()
         stream = io.StringIO()
         reporter = ProgressReporter(
             4, label="sweep", stream=stream, min_interval=0.0
@@ -275,22 +286,12 @@ class TestSweepAggregation:
             instructions=500,
             parallel=False,
             progress=reporter,
-            metrics=accumulator,
             request=RunRequest(
                 workload="", policy=WrpkruPolicy.SERIALIZED,
                 instructions=500, metrics=True,
             ),
         )
         assert len(results) == 2
-        total = accumulator.snapshot()
-        assert total.counters["aggregate.runs"] == 4
-        assert total.counters["perf.sweep.tasks"] == 4
-        expected = sum(
-            stats.instructions_retired
-            for by_policy in results.values()
-            for stats in by_policy.values()
-        )
-        assert total.counters["core.instructions_retired"] == expected
         out = stream.getvalue()
         assert "4/4" in out
         assert out.endswith("\n")

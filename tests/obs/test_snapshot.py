@@ -7,7 +7,7 @@ for the sweep aggregation to be deterministic.
 
 import itertools
 
-from repro.obs.snapshot import MetricsAccumulator, MetricsSnapshot
+from repro.obs.snapshot import MetricsSnapshot
 
 
 def _shard(n: int) -> MetricsSnapshot:
@@ -84,6 +84,13 @@ class TestDiff:
         assert delta.histograms["h"] == {1: 1, 2: -7}  # equal bins dropped
         assert delta.meta["diff_of"] == ("b", "a")
 
+    def test_diff_drops_unchanged_counters(self):
+        snap = MetricsSnapshot(counters={"x": 4, "zero": 0},
+                               gauges={"ipc": 1.0})
+        delta = snap.diff(snap)
+        assert delta.counters == {}
+        assert delta.top(10, by_magnitude=True) == []
+
 
 class TestQueries:
     def test_get_prefers_counters_then_gauges(self):
@@ -104,11 +111,12 @@ class TestQueries:
             ("mpk.checks.store", -80)
         ]
 
-    def test_subsystems_shape(self):
-        snap = MetricsSnapshot(counters={
-            "core.a": 1, "core.b": 2, "mpk.c": 3,
-        })
-        assert snap.subsystems() == {"core": 2, "mpk": 1}
+    def test_top_breaks_ties_by_name(self):
+        snap = MetricsSnapshot(counters={"b": 5, "c": -5, "a": 5, "d": 1})
+        assert snap.top(3) == [("a", 5), ("b", 5), ("d", 1)]
+        assert snap.top(3, by_magnitude=True) == [
+            ("a", 5), ("b", 5), ("c", -5)
+        ]
 
 
 class TestSerialization:
@@ -120,29 +128,3 @@ class TestSerialization:
         assert all(
             isinstance(key, int) for key in rebuilt.histograms["core.occ"]
         )
-
-
-class TestAccumulator:
-    def test_add_counts_runs_and_merges(self):
-        accumulator = MetricsAccumulator()
-        accumulator.add(_shard(1))
-        accumulator.add(None)  # metrics-off worker still counts as a run
-        accumulator.add(_shard(2))
-        total = accumulator.snapshot()
-        assert total.counters["aggregate.runs"] == 3
-        assert total.counters["core.cycles"] == 300
-
-    def test_merge_does_not_count_a_run(self):
-        accumulator = MetricsAccumulator()
-        accumulator.add(_shard(1))
-        accumulator.merge(MetricsSnapshot(counters={"perf.sweep.tasks": 4}))
-        total = accumulator.snapshot()
-        assert total.counters["aggregate.runs"] == 1
-        assert total.counters["perf.sweep.tasks"] == 4
-
-    def test_snapshot_is_a_copy(self):
-        accumulator = MetricsAccumulator()
-        accumulator.add(_shard(1))
-        first = accumulator.snapshot()
-        accumulator.add(_shard(1))
-        assert first.counters["aggregate.runs"] == 1

@@ -164,6 +164,21 @@ class TestMetrics:
         out = capsys.readouterr().out
         assert "mpk." in out
 
+    def test_diff_against_itself_has_no_movers(self, tmp_path, capsys):
+        from repro.obs import MetricsSnapshot
+
+        snap = tmp_path / "a.json"
+        snap.write_text(MetricsSnapshot(
+            counters={"core.cycles": 900, "mpk.checks.load": 12,
+                      "memory.l1d.misses": 0},
+            gauges={"core.ipc": 1.25},
+            meta={"label": "557.xz_r (SS)"},
+        ).to_json())
+        assert main(["metrics", "diff", str(snap), str(snap)]) == 0
+        out = capsys.readouterr().out
+        assert "(no counter changed)" in out
+        assert "+0" not in out
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["metrics"])
